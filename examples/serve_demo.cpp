@@ -18,6 +18,7 @@
 #include "elsa/pipeline.hpp"
 #include "serve/replayer.hpp"
 #include "serve/service.hpp"
+#include "serve/tap.hpp"
 #include "simlog/scenario.hpp"
 #include "util/ascii.hpp"
 #include "util/strings.hpp"
@@ -48,6 +49,8 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig scfg;
   scfg.shards = shards;
+  serve::AlarmFeed feed;
+  scfg.tap = &feed;
   serve::PredictionService service(trace.topology, model, scfg);
 
   serve::ReplayOptions ro;
@@ -69,7 +72,7 @@ int main(int argc, char** argv) {
   std::vector<core::Prediction> alarms;
   std::size_t printed = 0;
   const auto drain = [&] {
-    service.poll_alarms(alarms);
+    feed.poll(alarms);
     for (const auto& p : alarms) {
       if (printed >= 10) break;
       ++printed;

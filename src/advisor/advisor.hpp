@@ -213,7 +213,7 @@ class CheckpointAdvisor {
   serve::ServeMetrics* metrics_ = nullptr;
   const double initial_interval_min_;
 
-  // Rank kAdvisor (above the serve engine/ring/metrics ranks): nothing is
+  // Rank kAdvisor (above the serve engine/metrics ranks): nothing is
   // ever acquired while it is held — the metrics hooks called under it are
   // pure relaxed atomics.
   mutable util::Mutex mu_{"advisor::CheckpointAdvisor::mu_",

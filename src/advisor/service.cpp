@@ -13,8 +13,8 @@ AdvisorService::AdvisorService(const topo::Topology& topo,
   const std::size_t shards = cfg.serve.shards == 0 ? 1 : cfg.serve.shards;
   rings_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i)
-    rings_.push_back(
-        std::make_unique<SpscRing<core::Prediction>>(cfg.ring_capacity));
+    rings_.push_back(std::make_unique<serve::SpscRing<core::Prediction>>(
+        cfg.ring_capacity));
   cfg.serve.tap = this;
   service_ =
       std::make_unique<serve::PredictionService>(topo, model, cfg.serve);
@@ -36,22 +36,25 @@ AdvisorService::~AdvisorService() {
 }
 
 // elsa-realtime: runs on the shard worker inside the prediction hot loop —
-// one SPSC try_push plus drop accounting, never a lock or an allocation.
+// one ring offer plus drop accounting, never a lock or an allocation.
 void AdvisorService::publish(std::size_t shard, const core::Prediction& p) {
-  if (shard < rings_.size() && rings_[shard]->try_push(p)) return;
-  // relaxed: standalone monotonic counter; the pump never orders other
-  // memory against it.
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  // The engine never runs more shards than there are rings.
+  if (rings_[shard]->offer(p) != 0) return;
   if (metrics_) metrics_->on_advisor_drop();
 }
 
+std::uint64_t AdvisorService::dropped() const {
+  std::uint64_t n = 0;
+  for (const auto& r : rings_) n += r->dropped();
+  return n;
+}
+
 void AdvisorService::pump_loop() {
-  core::Prediction p;
   for (;;) {
     bool any = false;
     for (auto& r : rings_)
-      while (r->try_pop(p)) {
-        advisor_.on_prediction(p);
+      while (auto p = r->try_pop()) {
+        advisor_.on_prediction(*p);
         any = true;
       }
     if (any) continue;
@@ -60,7 +63,7 @@ void AdvisorService::pump_loop() {
     // visible, so one final sweep below cannot miss a prediction.
     if (stop_.load(std::memory_order_acquire)) {
       for (auto& r : rings_)
-        while (r->try_pop(p)) advisor_.on_prediction(p);
+        while (auto p = r->try_pop()) advisor_.on_prediction(*p);
       break;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));

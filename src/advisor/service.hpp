@@ -1,14 +1,14 @@
 // AdvisorService: a PredictionService with the checkpoint advisor closed
 // over it. It registers itself as the serve path's PredictionTap, hands
-// each shard's predictions through a private wait-free SPSC ring (one per
-// shard — the tap contract guarantees one producer per shard index), and
+// each shard's predictions through a private lock-free serve::SpscRing (one
+// per shard — the tap contract guarantees one producer per shard index), and
 // a single pump thread feeds them to the CheckpointAdvisor. The predict
 // hot path therefore never blocks on advisor work: a full ring drops the
 // event and counts it (advisor_dropped in the metrics scrape; the
 // deterministic-replay tests assert zero drops at the default capacity).
 //
 //   producers -> PredictionService -> shard workers
-//                                        | publish(shard, p)   wait-free
+//                                        | publish(shard, p)   offer
 //                                   SpscRing[shard]
 //                                        | try_pop             pump thread
 //                                  CheckpointAdvisor -> CheckpointSchedule
@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "advisor/advisor.hpp"
-#include "advisor/spsc.hpp"
 #include "serve/service.hpp"
+#include "serve/spsc_ring.hpp"
 
 namespace elsa::advisor {
 
@@ -31,9 +31,10 @@ struct AdvisorServiceConfig {
   /// advisor's own hook.
   serve::ServiceConfig serve;
   AdvisorConfig advisor;
-  /// Per-shard SPSC capacity, in predictions. Generous by default: a drop
-  /// costs schedule fidelity (and determinism), so the rings are sized for
-  /// the full between-sweeps burst of a shard.
+  /// Per-shard ring capacity, in predictions (rounded up to a power of
+  /// two). Generous by default: a drop costs schedule fidelity (and
+  /// determinism), so the rings are sized for the full between-sweeps
+  /// burst of a shard.
   std::size_t ring_capacity = 4096;
 };
 
@@ -61,11 +62,9 @@ class AdvisorService final : public serve::PredictionTap {
   /// the pump thread has exited. Idempotent.
   void finish(std::int64_t t_end_ms);
 
-  /// Predictions lost to a full ring (0 in a healthy run).
-  std::uint64_t dropped() const {
-    // relaxed: standalone monotonic counter read for monitoring.
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  /// Predictions lost to a full ring (0 in a healthy run): the sum of the
+  /// rings' own drop counters.
+  std::uint64_t dropped() const;
 
   /// Advisor snapshot (canonical order; see CheckpointSchedule).
   CheckpointSchedule schedule() const { return advisor_.schedule(); }
@@ -74,9 +73,7 @@ class AdvisorService final : public serve::PredictionTap {
   void pump_loop();
 
   CheckpointAdvisor advisor_;
-  std::vector<std::unique_ptr<SpscRing<core::Prediction>>> rings_;
-  // elsa-atomic: monotonic-relaxed — tap overflow counter, summed only.
-  std::atomic<std::uint64_t> dropped_{0};
+  std::vector<std::unique_ptr<serve::SpscRing<core::Prediction>>> rings_;
   serve::ServeMetrics* metrics_ = nullptr;  ///< service_'s, cached for publish
   std::unique_ptr<serve::PredictionService> service_;
   // elsa-atomic: release-acquire-flag — finish()'s release store is the

@@ -13,8 +13,7 @@ PredictionService::PredictionService(const topo::Topology& topo,
           std::max(model.helo.size(), model.profiles.size()))),
       total_nodes_(topo.total_nodes()),
       overflow_(cfg.overflow),
-      validate_(cfg.validate),
-      alarms_(cfg.alarm_capacity) {
+      validate_(cfg.validate) {
   ShardOptions so;
   so.shards = std::max<std::size_t>(1, cfg.shards);
   so.batch = std::max<std::size_t>(1, cfg.batch);
@@ -33,12 +32,7 @@ PredictionService::PredictionService(const topo::Topology& topo,
   so.hub = cfg.hub;
   so.event_tap = cfg.event_tap;
   sharded_ = std::make_unique<ShardedEngine>(
-      topo, model.chains, model.profiles, cfg.engine, so, &metrics_,
-      [this](const core::Prediction& p) {
-        // Streaming view only; overflow is tolerated (merged list is the
-        // canonical record).
-        alarms_.offer(p);
-      });
+      topo, model.chains, model.profiles, cfg.engine, so, &metrics_);
 }
 
 PredictionService::~PredictionService() = default;
@@ -90,14 +84,13 @@ SubmitResult PredictionService::submit_result(const simlog::LogRecord& rec,
         if (depth == 0) return SubmitResult::kClosed;
         break;
       case OverflowPolicy::kDropOldest: {
-        bool evicted = false;
+        std::size_t evicted = 0;
         depth = ring.push_evict(item, &evicted);
+        // Displaced records were already counted ingested + in; they are
+        // now shed records, keeping conservation exact (even when a close
+        // raced the push and this record itself was refused).
+        if (evicted != 0) metrics_.on_shed(evicted);
         if (depth == 0) return SubmitResult::kClosed;
-        if (evicted) {
-          // The displaced record was already counted ingested + in; it is
-          // now a shed record, keeping conservation exact.
-          metrics_.on_shed();
-        }
         break;
       }
       case OverflowPolicy::kShed:
@@ -144,15 +137,6 @@ void PredictionService::finish(std::int64_t t_end_ms) {
   finished_ = true;
   sharded_->finish(t_end_ms);
   metrics_.stop();
-}
-
-std::size_t PredictionService::poll_alarms(std::vector<core::Prediction>& out) {
-  std::size_t n = 0;
-  while (auto p = alarms_.try_pop()) {
-    out.push_back(std::move(*p));
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace elsa::serve

@@ -3,12 +3,14 @@
 // harnesses — submit raw records from any number of threads; the service
 // classifies them against the frozen offline model, routes them through the
 // lock-free ShardRouter, and pushes each straight into its shard's
-// lock-free ingest ring. Alarms stream out through a polling ring as they
-// are issued; the deterministic merged list is available after finish().
+// lock-free ingest ring. Alarms stream out as they are issued through the
+// configured PredictionTap (an AlarmFeed for a polling console, the
+// checkpoint advisor); the deterministic merged list is available after
+// finish().
 //
 //   producers -> [classify] -> [route] -> per-shard SpscRing -> shard worker
 //                                              |                   |  alarms
-//                                         ServeMetrics <-----------+--> Ring
+//                                         ServeMetrics <-----------+--> tap
 //
 // Everything up to the ring insertion happens on the *producer's* thread:
 // the model is frozen while serving (classify_const never mutates), the
@@ -29,8 +31,8 @@
 #include "elsa/online.hpp"
 #include "elsa/pipeline.hpp"
 #include "serve/metrics.hpp"
-#include "serve/ring.hpp"
 #include "serve/sharded_engine.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace elsa::serve {
 
@@ -85,12 +87,9 @@ struct ServiceConfig {
   const faultinject::FaultClock* clock = nullptr;
   /// Wait-free per-shard prediction observer (serve/tap.hpp) handed down
   /// to the sharded engine; null = none. The checkpoint advisor
-  /// (src/advisor) registers through this. Must outlive the service.
+  /// (src/advisor) and the streaming AlarmFeed register through this.
+  /// Must outlive the service.
   PredictionTap* tap = nullptr;
-  /// Streaming alarm ring capacity; overflowing alarms are dropped from
-  /// the *streaming view only* (the merged list after finish() is always
-  /// complete).
-  std::size_t alarm_capacity = 4096;
   /// Incremental HELO classifier (see helo.hpp). Null = the offline
   /// model's frozen classifier (classify_const). When set, submits
   /// classify through its *mutating* path, so unseen message shapes learn
@@ -155,10 +154,6 @@ class PredictionService {
   /// `t_end_ms`, freeze the metrics clock. Idempotent.
   void finish(std::int64_t t_end_ms);
 
-  /// Drain alarms issued since the last poll into `out` (appended);
-  /// returns how many. Callable anytime from any one consumer thread.
-  std::size_t poll_alarms(std::vector<core::Prediction>& out);
-
   /// Canonical deterministically-merged predictions (after finish()).
   const std::vector<core::Prediction>& predictions() const {
     return sharded_->predictions();
@@ -202,11 +197,11 @@ class PredictionService {
   bool valid(const simlog::LogRecord& rec) const;
 
   // Thread roles: `classifier_` and `unknown_tmpl_` are immutable while
-  // serving (frozen model); `metrics_` and `alarms_` are internally
-  // synchronized; the ShardedEngine's rings are lock-free and fed directly
-  // by submitting threads. `finished_` is control-plane state: finish()
-  // must be called from one controlling thread (it joins the shard
-  // workers), matching the destructor's contract.
+  // serving (frozen model); `metrics_` is internally synchronized; the
+  // ShardedEngine's rings are lock-free and fed directly by submitting
+  // threads. `finished_` is control-plane state: finish() must be called
+  // from one controlling thread (it joins the shard workers), matching the
+  // destructor's contract.
   const helo::TemplateMiner* classifier_;
   /// Mutating incremental classifier; non-null only under the
   /// single-producer submit contract (ServiceConfig::live_classifier).
@@ -216,7 +211,6 @@ class PredictionService {
   OverflowPolicy overflow_ = OverflowPolicy::kBlock;
   bool validate_ = true;
   ServeMetrics metrics_;
-  Ring<core::Prediction> alarms_;
   std::unique_ptr<ShardedEngine> sharded_;
   bool finished_ = false;  ///< controlling thread only
 

@@ -61,11 +61,8 @@ ShardedEngine::ShardedEngine(const topo::Topology& topo,
                              std::vector<core::Chain> chains,
                              std::vector<core::SignalProfile> profiles,
                              core::EngineConfig engine_cfg, ShardOptions opt,
-                             ServeMetrics* metrics, PredictionSink on_prediction)
-    : topo_(topo),
-      opt_(opt),
-      metrics_(metrics),
-      sink_(std::move(on_prediction)) {
+                             ServeMetrics* metrics)
+    : topo_(topo), opt_(opt), metrics_(metrics) {
   if (opt_.shards == 0) opt_.shards = 1;
   if (opt_.batch == 0) opt_.batch = 1;
   // Reader slots in the RCU hub are a fixed-width word; more shards than
@@ -301,7 +298,6 @@ void ShardedEngine::drain_shard(Shard& s, std::size_t idx,
   while (s.preds_streamed < preds.size()) {
     const core::Prediction& p = preds[s.preds_streamed++];
     if (metrics_) metrics_->on_prediction(enq);
-    if (sink_) sink_(p);
     if (opt_.tap) opt_.tap->publish(idx, p);
   }
   if (metrics_) {

@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -116,16 +115,10 @@ class ShardedEngine {
     ServeMetrics::Clock::time_point enq{};
   };
 
-  /// Called from worker threads as alarms are issued (streaming view; the
-  /// canonical merged list is available after finish()). May be invoked
-  /// concurrently from different shards.
-  using PredictionSink = std::function<void(const core::Prediction&)>;
-
   ShardedEngine(const topo::Topology& topo, std::vector<core::Chain> chains,
                 std::vector<core::SignalProfile> profiles,
                 core::EngineConfig engine_cfg, ShardOptions opt,
-                ServeMetrics* metrics = nullptr,
-                PredictionSink on_prediction = nullptr);
+                ServeMetrics* metrics = nullptr);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -248,7 +241,7 @@ class ShardedEngine {
   void watchdog_loop();
   void stop_watchdog();
   /// Stream engine-side deltas (new predictions, dedupe, out-of-order) to
-  /// the sink/tap/metrics. Runs on the shard's worker, or on the finishing
+  /// the tap/metrics. Runs on the shard's worker, or on the finishing
   /// thread once workers have joined — never two threads for one `idx` at
   /// once, which is what makes the tap's SPSC hand-off sound.
   void drain_shard(Shard& s, std::size_t idx,
@@ -257,7 +250,6 @@ class ShardedEngine {
   topo::Topology topo_;
   ShardOptions opt_;
   ServeMetrics* metrics_ = nullptr;
-  PredictionSink sink_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<core::Prediction> merged_;
@@ -277,7 +269,7 @@ class ShardedEngine {
   // Rank kEngine: held only for the stop-flag wait — the watchdog's shard
   // scan (ring depth reads, worker joins, metrics flips) runs unlocked, so
   // nothing is ever acquired under it; the rank documents that it sits
-  // above the ring/metrics locks the scan touches.
+  // above the metrics lock the scan touches.
   util::Mutex wd_mu_{"serve::ShardedEngine::wd_mu_", util::lockrank::kEngine};
   util::CondVar wd_cv_;
   bool wd_stop_ ELSA_GUARDED_BY(wd_mu_) = false;

@@ -1,4 +1,6 @@
-// Lock-free bounded ring: the per-shard ingest lane of the serving layer.
+// Lock-free bounded ring: the project's one queue type. It is the
+// per-shard ingest lane of the serving layer, and it carries the
+// prediction and event taps (advisor, AlarmFeed, miner) off the shards.
 //
 // One of these sits in front of every shard engine, replacing the old
 // single mutex-guarded MPMC `Ring` that every producer and the dispatcher
@@ -21,14 +23,14 @@
 // modulo), and the producer cursor, consumer cursor and close flag live on
 // separate cache lines so the two sides never false-share.
 //
-// Overflow semantics mirror `Ring` exactly — the caller picks per call:
+// Three overflow policies — the caller picks per call:
 //   * push()       — block (bounded spin, then yield, then short sleeps)
 //     until space frees up or the ring closes; backpressure.
 //   * offer()      — never block; a full (or closed) ring drops the item
 //     and counts it in dropped(); load shedding.
 //   * push_evict() — never block, never reject while open: a full ring
-//     discards its OLDEST queued item (counted in evicted(),
-//     `*evicted_out` set) to admit the new one; freshness-first.
+//     discards its OLDEST queued item (counted in evicted() and
+//     `*evicted_out`) to admit the new one; freshness-first.
 //
 // close() makes every subsequent push attempt fail fast; items already
 // queued remain poppable, and pop_wait() returns false once the ring is
@@ -170,29 +172,27 @@ class SpscRing {
   }
 
   /// Non-blocking push that never rejects on overflow: a full ring evicts
-  /// its oldest queued item (counted; `*evicted_out` set when it happens)
-  /// to make room. Returns the depth after insertion, or 0 iff the ring is
-  /// closed — only then was the item not enqueued.
+  /// its oldest queued item to make room. Every eviction is counted, and
+  /// `*evicted_out` receives how many this call made: usually one, more
+  /// when a consumer's in-flight pop still held the slot this push needs.
+  /// Returns the depth after insertion, or 0 iff the ring is closed — only
+  /// then was the item not enqueued.
   // elsa-realtime: wait-free freshness-first ingest.
-  std::size_t push_evict(T item, bool* evicted_out = nullptr) {
-    bool kicked = false;
+  std::size_t push_evict(T item, std::size_t* evicted_out = nullptr) {
+    std::size_t kicked = 0;
     std::size_t depth = 0;
-    for (;;) {
-      if (closed()) {
-        if (evicted_out) *evicted_out = false;
-        return 0;
-      }
+    while (!closed()) {
       depth = try_push(item);
       if (depth != 0) break;
-      if (discard_oldest()) kicked = true;
+      if (discard_oldest()) ++kicked;
       // A concurrent consumer may have beaten us to the oldest slot; either
       // way space is (about to be) available — retry the push.
     }
-    if (kicked) {
+    if (kicked != 0) {
       util::sched_point();
       // relaxed: monotonic eviction counter; readers only ever sum it,
       // never order other accesses against it.
-      evicted_.fetch_add(1, std::memory_order_relaxed);
+      evicted_.fetch_add(kicked, std::memory_order_relaxed);
     }
     if (evicted_out) *evicted_out = kicked;
     return depth;

@@ -1,10 +1,9 @@
-// PredictionTap: the serve path's push-side prediction observer — the hook
-// the checkpoint advisor (src/advisor) subscribes through. Unlike the
-// PredictionSink std::function (a convenience callback with no threading
-// contract beyond "may run concurrently"), a tap is handed the *shard
-// index* of the emitting engine, which makes a lock-free per-shard SPSC
-// hand-off possible on the consumer side: for any given shard index, calls
-// are serialized — they run on that shard's worker thread, on its
+// PredictionTap: the serve path's one push-side prediction observer — the
+// hook the checkpoint advisor (src/advisor) and the streaming AlarmFeed
+// below subscribe through. A tap is handed the *shard index* of the
+// emitting engine, which makes a lock-free per-shard SPSC hand-off
+// possible on the consumer side: for any given shard index, calls are
+// serialized — they run on that shard's worker thread, on its
 // watchdog-restarted successor (the join publishes the predecessor's
 // writes), or on the finishing thread after every worker has joined — so
 // exactly one producer per shard exists at any instant.
@@ -25,8 +24,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "elsa/online.hpp"
+#include "serve/spsc_ring.hpp"
 
 namespace elsa::serve {
 
@@ -38,6 +40,33 @@ class PredictionTap {
   /// file comment); per-shard calls are serialized, cross-shard calls are
   /// concurrent.
   virtual void publish(std::size_t shard, const core::Prediction& p) = 0;
+};
+
+/// The streaming alarm view for one polling consumer (the `elsa serve`
+/// console, examples/serve_demo): every shard offers into one shared ring,
+/// which tolerates concurrent producers (see serve/spsc_ring.hpp). A full
+/// ring drops the alarm and counts it instead of stalling a shard worker;
+/// the merged list after finish() stays the complete record.
+class AlarmFeed final : public PredictionTap {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  // elsa-realtime: one wait-free offer per issued alarm.
+  void publish(std::size_t /*shard*/, const core::Prediction& p) override {
+    ring_.offer(p);
+  }
+
+  /// Append the alarms queued since the last poll to `out`; returns how
+  /// many. One consumer thread at a time.
+  std::size_t poll(std::vector<core::Prediction>& out) {
+    return ring_.pop_n(out, kCapacity);
+  }
+
+  /// Alarms lost to a full ring (0 while the consumer keeps up).
+  std::uint64_t dropped() const { return ring_.dropped(); }
+
+ private:
+  SpscRing<core::Prediction> ring_{kCapacity};
 };
 
 /// One classified record as the shard engine consumed it: everything the

@@ -239,8 +239,8 @@ TEST(ElsaLintLockGraph, CvWaitWithSecondLockFires) {
 
 TEST(ElsaLintLockGraph, BlockingCallsUnderLockFire) {
   const auto fs = lock_fixture("blocking_under_lock.cpp");
-  // The locked ring pop and the locked join; drain_fine() pops before
-  // locking and stays quiet.
+  // The locked SpscRing::pop_wait and the locked join; drain_fine() waits
+  // before locking and stays quiet.
   EXPECT_EQ(count_rule(fs, "blocking-under-lock"), 2u)
       << elsa::lint::format(fs);
   EXPECT_EQ(fs.size(), 2u) << elsa::lint::format(fs);
@@ -358,9 +358,9 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   // the real files carries the known fields with their declared protocols,
   // fused by qualified id.
   std::vector<std::pair<std::string, std::string>> files;
-  for (const char* rel : {"/serve/spsc_ring.hpp", "/advisor/spsc.hpp",
-                          "/serve/metrics.hpp", "/serve/sharded_engine.hpp",
-                          "/serve/model_handle.hpp", "/mining/service.hpp"}) {
+  for (const char* rel :
+       {"/serve/spsc_ring.hpp", "/serve/metrics.hpp", "/serve/sharded_engine.hpp",
+        "/serve/model_handle.hpp", "/mining/service.hpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream ss;
@@ -378,7 +378,6 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   EXPECT_EQ(protocol_of("elsa::serve::SpscRing::tail_"), "monotonic-relaxed");
   EXPECT_EQ(protocol_of("elsa::serve::SpscRing::closed_"),
             "release-acquire-flag");
-  EXPECT_EQ(protocol_of("elsa::advisor::SpscRing::head_"), "spsc-seq");
   EXPECT_EQ(protocol_of("elsa::serve::StripedCounter::Cell::v"),
             "striped-relaxed-counter");
   EXPECT_EQ(protocol_of("elsa::serve::ShardedEngine::Shard::alive"),
@@ -507,9 +506,9 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
   std::map<std::string, std::string> raw;
   for (const char* rel :
        {"/serve/spsc_ring.hpp", "/serve/router.hpp", "/serve/model_handle.hpp",
-        "/serve/metrics.hpp", "/advisor/spsc.hpp", "/advisor/service.cpp",
-        "/advisor/advisor.cpp", "/elsa/online.cpp", "/elsa/model_io.cpp",
-        "/mining/miner.cpp", "/mining/service.cpp"}) {
+        "/serve/metrics.hpp", "/advisor/service.cpp", "/advisor/advisor.cpp",
+        "/elsa/online.cpp", "/elsa/model_io.cpp", "/mining/miner.cpp",
+        "/mining/service.cpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream ss;
@@ -609,10 +608,10 @@ TEST(ElsaLint, LintRootsReportsInternalErrors) {
 
 TEST(ElsaLint, GithubFormatEmitsWorkflowCommands) {
   const std::vector<Finding> fs = {
-      {"src/serve/ring.hpp", 42, "lock-cycle", "A -> B"}};
+      {"src/serve/spsc_ring.hpp", 42, "lock-cycle", "A -> B"}};
   const std::string out = elsa::lint::format_github(fs);
   EXPECT_EQ(out,
-            "::error file=src/serve/ring.hpp,line=42,"
+            "::error file=src/serve/spsc_ring.hpp,line=42,"
             "title=elsa-lint lock-cycle::[lock-cycle] A -> B\n");
 }
 

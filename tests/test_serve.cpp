@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "elsa/pipeline.hpp"
@@ -15,6 +16,7 @@
 #include "serve/replayer.hpp"
 #include "serve/service.hpp"
 #include "serve/sharded_engine.hpp"
+#include "serve/tap.hpp"
 #include "simlog/scenario.hpp"
 
 namespace {
@@ -283,11 +285,44 @@ TEST(PredictionService, EndToEndMatchesSingleEngine) {
   EXPECT_EQ(m.records_out, c.stream.size());
   EXPECT_EQ(m.predictions, service.predictions().size());
   EXPECT_GT(m.records_per_sec, 0.0);
+}
 
-  // Streaming view saw the same alarms (order may differ across shards).
-  std::vector<core::Prediction> streamed;
-  service.poll_alarms(streamed);
-  EXPECT_EQ(streamed.size(), service.predictions().size());
+// The streaming view: an AlarmFeed registered as the service's tap hands
+// the polling consumer every issued alarm exactly once. Shards interleave
+// their offers, so the stream equals the merged list as a multiset.
+TEST(AlarmFeed, StreamsTheMergedAlarmsAtOneAndFourShards) {
+  const Campaign& c = campaign();
+  const auto by_fields = [](const core::Prediction& a,
+                            const core::Prediction& b) {
+    return std::tie(a.issue_time_ms, a.chain_id, a.tmpl, a.trigger_time_ms,
+                    a.predicted_time_ms, a.nodes) <
+           std::tie(b.issue_time_ms, b.chain_id, b.tmpl, b.trigger_time_ms,
+                    b.predicted_time_ms, b.nodes);
+  };
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    serve::AlarmFeed feed;
+    serve::ServiceConfig cfg;
+    cfg.shards = shards;
+    cfg.engine = c.engine;
+    cfg.tap = &feed;
+    serve::PredictionService service(c.trace.topology, c.model, cfg);
+
+    serve::ReplayOptions ro;  // as fast as possible
+    ro.from_ms = c.train_end;
+    serve::TraceReplayer(c.trace, ro).replay_into(service);
+    service.finish(c.trace.t_end_ms);
+
+    std::vector<core::Prediction> streamed;
+    const std::size_t polled = feed.poll(streamed);
+    EXPECT_EQ(polled, streamed.size());
+    EXPECT_EQ(feed.dropped(), 0u);
+    ASSERT_FALSE(streamed.empty());
+    auto merged = service.predictions();
+    std::sort(streamed.begin(), streamed.end(), by_fields);
+    std::sort(merged.begin(), merged.end(), by_fields);
+    expect_identical(merged, streamed);
+  }
 }
 
 // ---------------------------------------------------------------------------

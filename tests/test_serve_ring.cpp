@@ -1,10 +1,9 @@
 // Serving-layer primitives under contention: FIFO and close semantics of
-// the bounded MPMC ring and of the lock-free per-shard SpscRing (wrap
-// around, overflow policies, close-while-full, 1P1C stress),
-// no-loss/no-duplication under producer/consumer hammering, the
-// drop-with-counter overflow policy, and the striped lock-free metrics
-// recorders. This is the file CI additionally runs under ASan/UBSan and
-// ThreadSanitizer.
+// the lock-free SpscRing (wrap around, overflow policies, close-while-full,
+// close-while-empty, batched drains, 1P1C stress), no-loss accounting under
+// producer/consumer hammering, the drop-with-counter overflow policy, and
+// the striped lock-free metrics recorders. This is the file CI additionally
+// runs under ASan/UBSan and ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,158 +13,14 @@
 #include <vector>
 
 #include "serve/metrics.hpp"
-#include "serve/ring.hpp"
 #include "serve/spsc_ring.hpp"
 
 namespace {
 
 using namespace elsa::serve;
 
-TEST(Ring, FifoSingleThread) {
-  Ring<int> ring(4);
-  EXPECT_EQ(ring.push(1), 1u);
-  EXPECT_EQ(ring.push(2), 2u);
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.pop(), 1);
-  EXPECT_EQ(ring.pop(), 2);
-  EXPECT_EQ(ring.try_pop(), std::nullopt);
-}
-
-TEST(Ring, OfferDropsAndCountsOnOverflow) {
-  Ring<int> ring(8);
-  std::size_t accepted = 0;
-  for (int i = 0; i < 100; ++i) accepted += ring.offer(i) != 0;
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(ring.dropped(), 92u);
-  // FIFO of the survivors.
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(ring.pop(), i);
-}
-
-TEST(Ring, CloseWakesConsumersAndDrains) {
-  Ring<int> ring(4);
-  ring.push(7);
-  ring.close();
-  EXPECT_EQ(ring.push(8), 0u);   // rejected after close
-  EXPECT_EQ(ring.offer(9), 0u);  // counted as a drop
-  EXPECT_EQ(ring.pop(), 7);      // queued items remain poppable
-  EXPECT_EQ(ring.pop(), std::nullopt);
-}
-
-TEST(Ring, CloseUnblocksWaitingConsumer) {
-  Ring<int> ring(2);
-  std::thread consumer([&] { EXPECT_EQ(ring.pop(), std::nullopt); });
-  ring.close();
-  consumer.join();
-}
-
-TEST(Ring, PopAllDrainsInOrder) {
-  Ring<int> ring(16);
-  for (int i = 0; i < 10; ++i) ring.push(i);
-  std::vector<int> out;
-  EXPECT_TRUE(ring.pop_all(out));
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-  ring.close();
-  EXPECT_FALSE(ring.pop_all(out));
-}
-
-// The drop-oldest overflow policy: a full ring evicts its head to admit
-// the newcomer, reporting the eviction so the caller can account it shed.
-TEST(Ring, PushEvictDisplacesOldest) {
-  Ring<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_GT(ring.push_evict(i), 0u);
-  EXPECT_EQ(ring.evicted(), 0u);
-
-  bool kicked = false;
-  EXPECT_GT(ring.push_evict(4, &kicked), 0u);  // displaces 0
-  EXPECT_TRUE(kicked);
-  EXPECT_GT(ring.push_evict(5, &kicked), 0u);  // displaces 1
-  EXPECT_TRUE(kicked);
-  EXPECT_EQ(ring.evicted(), 2u);
-  EXPECT_EQ(ring.size(), 4u);
-
-  // The freshest window survives, still FIFO.
-  for (int i = 2; i < 6; ++i) EXPECT_EQ(ring.pop(), i);
-
-  kicked = true;
-  EXPECT_GT(ring.push_evict(9, &kicked), 0u);  // room again: no eviction
-  EXPECT_FALSE(kicked);
-
-  ring.close();
-  EXPECT_EQ(ring.push_evict(10, &kicked), 0u);  // only closed rejects
-  EXPECT_FALSE(kicked);
-  EXPECT_EQ(ring.evicted(), 2u);
-}
-
-// The acceptance property for the ingest spine: under multi-producer,
-// multi-consumer hammering with blocking push, every item comes out exactly
-// once.
-TEST(RingStress, MpmcNoLossNoDuplication) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20'000;
-  Ring<int> ring(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        ASSERT_GT(ring.push(p * kPerProducer + i), 0u);
-    });
-
-  std::vector<std::vector<int>> taken(kConsumers);
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c)
-    consumers.emplace_back([&ring, &taken, c] {
-      while (auto v = ring.pop()) taken[static_cast<std::size_t>(c)].push_back(*v);
-    });
-
-  for (auto& t : producers) t.join();
-  ring.close();
-  for (auto& t : consumers) t.join();
-
-  std::vector<char> seen(kProducers * kPerProducer, 0);
-  std::size_t total = 0;
-  for (const auto& v : taken)
-    for (const int x : v) {
-      ASSERT_GE(x, 0);
-      ASSERT_LT(x, kProducers * kPerProducer);
-      ASSERT_EQ(seen[static_cast<std::size_t>(x)], 0) << "duplicated item " << x;
-      seen[static_cast<std::size_t>(x)] = 1;
-      ++total;
-    }
-  EXPECT_EQ(total, static_cast<std::size_t>(kProducers) * kPerProducer);
-}
-
-// Shedding mode never blocks and never loses the accounting: accepted +
-// dropped adds up across racing producers.
-TEST(RingStress, OfferAccountingAddsUp) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 10'000;
-  Ring<int> ring(128);
-  std::atomic<std::uint64_t> accepted{0};
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i)
-        if (ring.offer(i) != 0) accepted.fetch_add(1);
-    });
-  std::atomic<std::uint64_t> consumed{0};
-  std::thread consumer([&] {
-    while (ring.pop()) consumed.fetch_add(1);
-  });
-  for (auto& t : producers) t.join();
-  ring.close();
-  consumer.join();
-
-  EXPECT_EQ(accepted.load() + ring.dropped(),
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_EQ(consumed.load(), accepted.load());
-}
-
 // ---------------------------------------------------------------------------
-// SpscRing: the lock-free per-shard ingest lane.
+// SpscRing: the lock-free ring behind every serving-layer queue.
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
@@ -206,32 +61,60 @@ TEST(SpscRing, OfferDropsAndCountsOnOverflow) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(ring.try_pop(), i);
 }
 
-// Same contract as the mutex ring: a full ring displaces its OLDEST item
-// (counted, reported), never the newcomer; only close rejects.
+// A full ring displaces its OLDEST item (counted, reported), never the
+// newcomer; only close rejects.
 TEST(SpscRing, PushEvictDisplacesOldest) {
   SpscRing<int> ring(4);
   for (int i = 0; i < 4; ++i) EXPECT_GT(ring.push_evict(i), 0u);
   EXPECT_EQ(ring.evicted(), 0u);
 
-  bool kicked = false;
+  std::size_t kicked = 0;
   EXPECT_GT(ring.push_evict(4, &kicked), 0u);  // displaces 0
-  EXPECT_TRUE(kicked);
+  EXPECT_EQ(kicked, 1u);
   EXPECT_GT(ring.push_evict(5, &kicked), 0u);  // displaces 1
-  EXPECT_TRUE(kicked);
+  EXPECT_EQ(kicked, 1u);
   EXPECT_EQ(ring.evicted(), 2u);
   EXPECT_EQ(ring.size(), 4u);
 
   // The freshest window survives, still FIFO.
   for (int i = 2; i < 6; ++i) EXPECT_EQ(ring.try_pop(), i);
 
-  kicked = true;
+  kicked = 1;
   EXPECT_GT(ring.push_evict(9, &kicked), 0u);  // room again: no eviction
-  EXPECT_FALSE(kicked);
+  EXPECT_EQ(kicked, 0u);
 
   ring.close();
   EXPECT_EQ(ring.push_evict(10, &kicked), 0u);  // only closed rejects
-  EXPECT_FALSE(kicked);
+  EXPECT_EQ(kicked, 0u);
   EXPECT_EQ(ring.evicted(), 2u);
+}
+
+// close() wakes a consumer waiting on an empty ring: pop_wait reports
+// closed-and-drained instead of waiting forever.
+TEST(SpscRing, CloseUnblocksWaitingConsumer) {
+  SpscRing<int> ring(2);
+  std::thread consumer([&] {
+    std::vector<int> out;
+    EXPECT_FALSE(ring.pop_wait(out, 8));
+    EXPECT_TRUE(out.empty());
+  });
+  ring.close();
+  consumer.join();
+}
+
+// pop_n drains in FIFO order, appends to the caller's buffer, and stops at
+// `max` or at an empty ring.
+TEST(SpscRing, PopNDrainsInOrder) {
+  SpscRing<int> ring(16);
+  for (int i = 0; i < 10; ++i) ring.push(i);
+  std::vector<int> out;
+  EXPECT_EQ(ring.pop_n(out, 4), 4u);
+  EXPECT_EQ(ring.pop_n(out, 64), 6u);
+  ASSERT_EQ(out.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(ring.pop_n(out, 64), 0u);
+  ring.close();
+  EXPECT_FALSE(ring.pop_wait(out, 64));
 }
 
 // close() while a producer is blocked in push() on a full ring: the

@@ -88,6 +88,7 @@
 #include "elsa/report.hpp"
 #include "serve/replayer.hpp"
 #include "serve/service.hpp"
+#include "serve/tap.hpp"
 #include "simlog/logio.hpp"
 #include "simlog/scenario.hpp"
 #include "util/ascii.hpp"
@@ -282,6 +283,8 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   if (flags.count("shards")) scfg.shards = std::stoul(flags.at("shards"));
   scfg.engine.use_location = model.method != core::Method::DataMining;
   scfg.engine.raw_event_matching = model.method == core::Method::DataMining;
+  serve::AlarmFeed feed;
+  scfg.tap = &feed;
   serve::PredictionService service(trace.topology, model, scfg);
 
   serve::ReplayOptions ro;
@@ -300,7 +303,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   std::vector<core::Prediction> alarms;
   std::size_t printed = 0;
   const auto print_alarms = [&] {
-    service.poll_alarms(alarms);
+    feed.poll(alarms);
     for (const auto& p : alarms) {
       if (printed >= max_alarms) break;
       ++printed;

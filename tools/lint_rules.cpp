@@ -161,16 +161,16 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
       {"helo", {"util"}},
       {"signalkit", {"util"}},
       {"ckpt", {"util"}},
-      {"elsa", {"util", "topology", "simlog", "helo", "signalkit", "ckpt"}},
+      {"elsa", {"util", "topology", "simlog", "helo", "signalkit"}},
       {"faultinject", {"util", "topology", "simlog"}},
       {"serve",
-       {"util", "topology", "simlog", "helo", "signalkit", "ckpt", "elsa",
+       {"util", "topology", "simlog", "helo", "signalkit", "elsa",
         "faultinject"}},
       {"advisor",
        {"util", "topology", "simlog", "helo", "signalkit", "ckpt", "elsa",
         "faultinject", "serve"}},
       {"mining",
-       {"util", "topology", "simlog", "helo", "signalkit", "ckpt", "elsa",
+       {"util", "topology", "simlog", "helo", "signalkit", "elsa",
         "faultinject", "serve"}},
   };
   return deps;
@@ -711,7 +711,7 @@ struct LockDecl {
 /// Project-wide symbol tables feeding the body-analysis pass.
 struct LockSymbols {
   std::map<std::string, LockDecl> locks;  ///< "Class::mu_" → decl site
-  std::set<std::string> ring_vars;        ///< names of Ring-typed variables
+  std::set<std::string> ring_vars;        ///< names of SpscRing variables
   std::set<std::string> cv_vars;          ///< names of CondVar variables
   std::set<std::string> lock_classes;     ///< classes owning ≥1 Mutex
   /// "Class::method" → lock ids the callee acquires (ELSA_EXCLUDES/ACQUIRE).
@@ -765,8 +765,8 @@ void collect_decls(const std::string& path, const std::vector<Tok>& t,
       if (!syms.locks.count(id)) syms.locks[id] = {path, tk.line};
       if (!ctx.empty()) syms.lock_classes.insert(ctx);
     }
-    // Ring<...> declaration → remember the variable name.
-    if (tk.text == "Ring" && i + 1 < t.size() && !t[i + 1].ident &&
+    // SpscRing<...> declaration → remember the variable name.
+    if (tk.text == "SpscRing" && i + 1 < t.size() && !t[i + 1].ident &&
         t[i + 1].text == "<") {
       int depth = 0;
       std::size_t j = i + 1;
@@ -853,7 +853,7 @@ struct EdgeInfo {
 using EdgeMap = std::map<std::pair<std::string, std::string>, EdgeInfo>;
 
 const std::set<std::string>& blocking_ring_methods() {
-  static const std::set<std::string> m = {"push", "pop", "pop_all"};
+  static const std::set<std::string> m = {"push", "pop_wait"};
   return m;
 }
 
@@ -1035,7 +1035,6 @@ void analyze_file(const std::string& path, const std::vector<Tok>& t,
       if (!held.empty()) {
         std::string cls;
         if (syms.var_cls.count(recv)) cls = syms.var_cls.at(recv);
-        else if (syms.ring_vars.count(recv)) cls = "Ring";
         call_edges(cls, method, line);
       }
       continue;
@@ -2541,7 +2540,8 @@ const std::vector<RuleInfo>& rule_table() {
        "non-reentrant libc call (lgamma, rand, strtok, localtime, gmtime)",
        "tests/lint_fixtures/banned_call.cpp"},
       {"blocking-under-lock",
-       "blocking call (ring push/pop, join, sleep, I/O) under a held Mutex",
+       "blocking call (ring push/pop_wait, join, sleep, I/O) under a held "
+       "Mutex",
        "tests/lint_fixtures/lockgraph/blocking_under_lock.cpp"},
       {"cv-wait-extra-lock",
        "CondVar wait while a second mutex is held",
