@@ -6,6 +6,31 @@
 
 namespace elsa::helo {
 
+namespace {
+
+/// Tokenise `message` into `out` (capacity kMaxTokens): util::tokenize's
+/// numeric test, plus a literal "d+", which generalises to itself.
+std::size_t tokenize_message(std::string_view message, util::Token* out) {
+  const std::size_t n = util::tokenize(message, out, TemplateMiner::kMaxTokens);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i].numeric = out[i].numeric || out[i].text() == "d+";
+  return n;
+}
+
+/// What a template stores for a token: "d+" if numeric, else its text.
+std::string_view generalised(const util::Token& tok) {
+  return tok.numeric ? std::string_view("d+") : tok.text();
+}
+
+/// The matching rule (helo.hpp, step 3) for one template token.
+bool token_matches(const std::string& tmpl, const util::Token& tok) {
+  if (tmpl.size() == 1 && tmpl[0] == '*') return true;
+  if (tok.numeric) return tmpl.size() == 2 && tmpl[0] == 'd' && tmpl[1] == '+';
+  return tmpl == tok.text();
+}
+
+}  // namespace
+
 std::string Template::text() const { return util::join(tokens, " "); }
 
 std::size_t Template::wildcards() const {
@@ -31,15 +56,8 @@ TemplateMiner TemplateMiner::from_templates(std::vector<Template> templates,
   return m;
 }
 
-std::vector<std::string> TemplateMiner::generalize(std::string_view message) {
-  auto tokens = util::split(message, " \t");
-  for (auto& t : tokens)
-    if (util::looks_numeric(t)) t = "d+";
-  return tokens;
-}
-
 std::uint64_t TemplateMiner::bucket_key(std::size_t len,
-                                        const std::string& first) {
+                                        std::string_view first) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the first token
   for (unsigned char c : first) {
     h ^= c;
@@ -48,21 +66,20 @@ std::uint64_t TemplateMiner::bucket_key(std::size_t len,
   return (static_cast<std::uint64_t>(len) << 48) ^ (h & 0xffffffffffffULL);
 }
 
-std::uint32_t TemplateMiner::best_match(
-    const Bucket& bucket, const std::vector<std::string>& tokens,
-    std::vector<std::size_t>* mismatch_positions) const {
+std::uint32_t TemplateMiner::best_match(const Bucket& bucket,
+                                        const util::Token* tokens,
+                                        std::size_t n) const {
   std::uint32_t best = kNoTemplate;
   std::size_t best_mismatches = std::numeric_limits<std::size_t>::max();
   const std::size_t allowed = static_cast<std::size_t>(
-      cfg_.max_word_mismatch * static_cast<double>(tokens.size()));
+      cfg_.max_word_mismatch * static_cast<double>(n));
 
   for (const std::uint32_t id : bucket.template_ids) {
     const Template& t = templates_[id];
     std::size_t mismatches = 0;
     bool viable = true;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      const std::string& tt = t.tokens[i];
-      if (tt == "*" || tt == tokens[i]) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (token_matches(t.tokens[i], tokens[i])) continue;
       if (++mismatches > allowed || mismatches >= best_mismatches) {
         viable = false;
         break;
@@ -74,45 +91,47 @@ std::uint32_t TemplateMiner::best_match(
       if (mismatches == 0) break;
     }
   }
-  if (best != kNoTemplate && mismatch_positions) {
-    mismatch_positions->clear();
-    const Template& t = templates_[best];
-    for (std::size_t i = 0; i < tokens.size(); ++i)
-      if (t.tokens[i] != "*" && t.tokens[i] != tokens[i])
-        mismatch_positions->push_back(i);
-  }
   return best;
 }
 
 std::uint32_t TemplateMiner::classify(std::string_view message) {
-  const auto tokens = generalize(message);
-  if (tokens.empty()) return kNoTemplate;
-  Bucket& bucket = buckets_[bucket_key(tokens.size(), tokens.front())];
+  util::Token tokens[kMaxTokens];  // filled [0, n) before any read
+  const std::size_t n = tokenize_message(message, tokens);
+  if (n == 0) return kNoTemplate;
+  Bucket& bucket = buckets_[bucket_key(n, generalised(tokens[0]))];
 
-  std::vector<std::size_t> mismatches;
-  const std::uint32_t best = best_match(bucket, tokens, &mismatches);
+  const std::uint32_t best = best_match(bucket, tokens, n);
   if (best != kNoTemplate) {
     Template& t = templates_[best];
-    for (const std::size_t pos : mismatches) t.tokens[pos] = "*";
+    // assign(1, '*') rather than = "*": GCC 12 warns falsely
+    // (-Wrestrict) on the inlined const char* assignment here.
+    for (std::size_t i = 0; i < n; ++i)
+      if (!token_matches(t.tokens[i], tokens[i])) t.tokens[i].assign(1, '*');
     ++t.count;
     return best;
   }
 
   Template t;
   t.id = static_cast<std::uint32_t>(templates_.size());
-  t.tokens = tokens;
+  t.tokens.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    t.tokens.emplace_back(generalised(tokens[i]));
   t.count = 1;
   templates_.push_back(std::move(t));
   bucket.template_ids.push_back(templates_.back().id);
   return templates_.back().id;
 }
 
+// elsa-realtime: the producer-side classify on every served record — a
+// stack token buffer of views into the message, one bucket lookup and
+// in-place compares against the frozen templates; nothing is allocated.
 std::uint32_t TemplateMiner::classify_const(std::string_view message) const {
-  const auto tokens = generalize(message);
-  if (tokens.empty()) return kNoTemplate;
-  const auto it = buckets_.find(bucket_key(tokens.size(), tokens.front()));
+  util::Token tokens[kMaxTokens];  // filled [0, n) before any read
+  const std::size_t n = tokenize_message(message, tokens);
+  if (n == 0) return kNoTemplate;
+  const auto it = buckets_.find(bucket_key(n, generalised(tokens[0])));
   if (it == buckets_.end()) return kNoTemplate;
-  return best_match(it->second, tokens, nullptr);
+  return best_match(it->second, tokens, n);
 }
 
 }  // namespace elsa::helo

@@ -9,15 +9,24 @@
 // Algorithm (offline and online are the same code path; online simply keeps
 // classifying into the same miner so new software versions create new
 // templates on the fly, as §III.A requires):
-//   1. tokenize on whitespace;
-//   2. pre-generalise: numeric-looking tokens become "d+" immediately;
-//   3. bucket by (token count, first token) — the "hierarchical" part:
-//      messages of different lengths or different leading constants never
-//      share a template;
-//   4. within a bucket, greedily match against existing templates counting
-//      mismatches at non-wildcard positions; if the best template's
-//      mismatch fraction is at or below `max_word_mismatch`, join it and
-//      wildcard the mismatching positions, else found a new template.
+//   1. tokenise in one pass over the message (util::tokenize) on ' ' and
+//      '\t' into a stack buffer of views into the message; a token is
+//      numeric when it is a literal "d+" or looks_numeric(), and a numeric
+//      token generalises to "d+". Only the first kMaxTokens tokens are
+//      kept: a longer message is classified on that prefix (the longest
+//      generated message has 19 tokens), so no input makes classification
+//      allocate per token;
+//   2. bucket by (token count, generalised first token) — the
+//      "hierarchical" part: messages of different lengths or different
+//      leading constants never share a template;
+//   3. within a bucket, greedily match against existing templates counting
+//      mismatches: a template token matches when it is "*", when it is
+//      "d+" and the token is numeric, or when the token is not numeric and
+//      its text is equal. If the best template's mismatch fraction is at
+//      or below `max_word_mismatch`, join it and wildcard the mismatching
+//      positions, else found a new template from the generalised tokens.
+// classify_const runs steps 1-3 without joining or founding and allocates
+// nothing; classify builds strings only when it founds a template.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +34,10 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+namespace elsa::util {
+struct Token;
+}  // namespace elsa::util
 
 namespace elsa::helo {
 
@@ -48,6 +61,8 @@ struct MinerConfig {
 class TemplateMiner {
  public:
   static constexpr std::uint32_t kNoTemplate = 0xffffffffu;
+  /// Tokens a message is classified on; later tokens are ignored.
+  static constexpr std::size_t kMaxTokens = 64;
 
   explicit TemplateMiner(MinerConfig cfg = {});
 
@@ -71,14 +86,12 @@ class TemplateMiner {
     std::vector<std::uint32_t> template_ids;
   };
 
-  static std::vector<std::string> generalize(std::string_view message);
-  static std::uint64_t bucket_key(std::size_t len, const std::string& first);
+  static std::uint64_t bucket_key(std::size_t len, std::string_view first);
 
-  /// Best template id in the bucket and its mismatch count; kNoTemplate if
-  /// the bucket is empty or nothing is within threshold.
-  std::uint32_t best_match(const Bucket& bucket,
-                           const std::vector<std::string>& tokens,
-                           std::vector<std::size_t>* mismatch_positions) const;
+  /// Best template id in the bucket for the `n` tokens; kNoTemplate if the
+  /// bucket is empty or nothing is within threshold.
+  std::uint32_t best_match(const Bucket& bucket, const util::Token* tokens,
+                           std::size_t n) const;
 
   MinerConfig cfg_;
   std::vector<Template> templates_;

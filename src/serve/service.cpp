@@ -48,12 +48,18 @@ std::uint32_t PredictionService::classify(std::string_view message) const {
 }
 
 bool PredictionService::valid(const simlog::LogRecord& rec) const {
-  return rec.node_id >= -1 && rec.node_id < total_nodes_ && rec.time_ms >= 0;
+  // A blank message (only HELO's ' '/'\t' separators) has no template id:
+  // the live classifier returns kNoTemplate for it, which no engine can key.
+  return rec.node_id >= -1 && rec.node_id < total_nodes_ && rec.time_ms >= 0 &&
+         rec.message.find_first_not_of(" \t") != std::string::npos;
 }
 
 SubmitResult PredictionService::submit_result(const simlog::LogRecord& rec,
                                               bool blocking) {
   if (validate_ && !valid(rec)) {
+    // A finished service counts nothing, malformed or not (every ring
+    // closes together, so shard 0's says).
+    if (sharded_->ingest(0).closed()) return SubmitResult::kClosed;
     metrics_.on_submit();
     metrics_.on_quarantine();
     {

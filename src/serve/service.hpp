@@ -70,7 +70,8 @@ struct ServiceConfig {
   /// Backpressure policy for blocking submit() on a full shard ring.
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Reject malformed records (node id outside the topology, negative
-  /// timestamp) into quarantine instead of feeding them to the engines.
+  /// timestamp, blank message) into quarantine instead of feeding them to
+  /// the engines.
   /// The serving default; chaos tests rely on it to survive kCorrupt.
   bool validate = true;
   /// Watchdog scan interval for the sharded engine; 0 disables it.
@@ -193,7 +194,7 @@ class PredictionService {
 
  private:
   /// Structural sanity of one record: node id inside the topology (or the
-  /// system-scope sentinel -1), non-negative timestamp.
+  /// system-scope sentinel -1), non-negative timestamp, non-blank message.
   bool valid(const simlog::LogRecord& rec) const;
 
   // Thread roles: `classifier_` and `unknown_tmpl_` are immutable while

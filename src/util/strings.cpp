@@ -1,7 +1,7 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 
 namespace elsa::util {
@@ -40,35 +40,31 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
+namespace {
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
+// Byte classes of the numeric test, as ASCII ranges rather than <cctype>:
+// the same answers as the "C" locale (bytes >= 0x80 are never digits or hex
+// letters) without a locale lookup per byte. A table, so tallying a token
+// takes no data-dependent branch.
+enum : std::uint8_t { kOther, kDigit, kHexLetter, kSeparator };
 
-bool looks_numeric(std::string_view token) {
-  if (token.empty()) return false;
-  std::string_view t = token;
-  const bool hex_prefixed = starts_with(t, "0x") || starts_with(t, "0X");
-  if (hex_prefixed) t = t.substr(2);
-  if (t.empty()) return false;
-  std::size_t digits = 0, hex_letters = 0, others = 0;
-  for (unsigned char c : t) {
-    if (std::isdigit(c) || c == '.' || c == ':' || c == '-')
-      ++digits;
-    else if (std::isxdigit(c))
-      ++hex_letters;
-    else
-      ++others;
-  }
-  // 0x-prefixed payloads are numeric whenever they are valid-ish hex.
-  if (hex_prefixed) return others == 0;
+constexpr std::array<std::uint8_t, 256> kByteClass = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = kDigit;
+  t['.'] = t[':'] = t['-'] = kDigit;
+  for (int c = 'a'; c <= 'f'; ++c) t[c] = t[c - 'a' + 'A'] = kHexLetter;
+  t[' '] = t['\t'] = kSeparator;
+  return t;
+}();
+
+/// looks_numeric() from the token's tallies of kDigit and kHexLetter bytes.
+bool numeric_verdict(std::string_view token, std::size_t digits,
+                     std::size_t hex_letters) {
+  const std::size_t others = token.size() - digits - hex_letters;
+  // 0x-prefixed payloads are numeric whenever they are valid-ish hex: the
+  // prefix's 'x' must be the only other byte.
+  if (starts_with(token, "0x") || starts_with(token, "0X"))
+    return token.size() > 2 && others == 1;
   // Otherwise require at least one real digit so ordinary words made of
   // a-f letters ("detected", "cafe") never read as numbers; hex letters
   // then count toward the numeric mass (addresses like 1a2b3c).
@@ -76,19 +72,38 @@ bool looks_numeric(std::string_view token) {
   return others * 3 <= digits + hex_letters;
 }
 
-bool template_matches(const std::vector<std::string>& tmpl_tokens,
-                      const std::vector<std::string>& msg_tokens) {
-  if (tmpl_tokens.size() != msg_tokens.size()) return false;
-  for (std::size_t i = 0; i < tmpl_tokens.size(); ++i) {
-    const std::string& t = tmpl_tokens[i];
-    if (t == "*") continue;
-    if (t == "d+") {
-      if (!looks_numeric(msg_tokens[i])) return false;
-      continue;
-    }
-    if (t != msg_tokens[i]) return false;
+}  // namespace
+
+bool looks_numeric(std::string_view token) {
+  std::size_t digits = 0, hex_letters = 0;
+  for (const char ch : token) {
+    const std::uint8_t cls = kByteClass[static_cast<unsigned char>(ch)];
+    digits += cls == kDigit;
+    hex_letters += cls == kHexLetter;
   }
-  return true;
+  return numeric_verdict(token, digits, hex_letters);
+}
+
+std::size_t tokenize(std::string_view s, Token* out, std::size_t capacity) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  std::size_t n = 0;
+  while (n < capacity) {
+    while (p != end && kByteClass[static_cast<unsigned char>(*p)] == kSeparator)
+      ++p;
+    if (p == end) break;
+    const char* const begin = p;
+    std::size_t digits = 0, hex_letters = 0;
+    for (; p != end; ++p) {
+      const std::uint8_t cls = kByteClass[static_cast<unsigned char>(*p)];
+      if (cls == kSeparator) break;
+      digits += cls == kDigit;
+      hex_letters += cls == kHexLetter;
+    }
+    const std::string_view text(begin, static_cast<std::size_t>(p - begin));
+    out[n++] = {begin, text.size(), numeric_verdict(text, digits, hex_letters)};
+  }
+  return n;
 }
 
 std::string human_duration(double seconds) {

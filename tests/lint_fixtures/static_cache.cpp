@@ -24,7 +24,7 @@ double mean(int n) {
 
 struct Miner {
   // ok: a member *function* returning a container, not a variable
-  // (helo.hpp's generalize() — the rule must not misread it).
+  // (a static helper like this one — the rule must not misread it).
   static std::vector<std::string> generalize(const std::string& msg);
 };
 

@@ -370,6 +370,35 @@ TEST(PredictionService, ValidatorQuarantinesMalformed) {
   EXPECT_EQ(sample[2].time_ms, -5);
 }
 
+// A blank message has no template: on the live-classifier path (the
+// `elsa mine` setup) it used to reach the engine as kNoTemplate and abort
+// the process growing the detector table. The validator quarantines it.
+TEST(PredictionService, BlankMessageQuarantinedOnLivePath) {
+  const auto topo = topo::Topology::cluster(4);
+  core::OfflineModel model;
+  helo::TemplateMiner live;
+  serve::ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.live_classifier = &live;
+  serve::PredictionService service(topo, model, cfg);
+
+  ASSERT_TRUE(service.submit(synth_record(0, 4)));
+  simlog::LogRecord blank = synth_record(1, 4);
+  blank.message = " \t  ";
+  EXPECT_EQ(service.submit_result(blank, true),
+            serve::SubmitResult::kQuarantined);
+  ASSERT_TRUE(service.submit(synth_record(2, 4)));
+  service.finish(10'000);
+
+  const auto m = service.metrics();
+  EXPECT_EQ(m.ingested, 3u);
+  EXPECT_EQ(m.quarantined, 1u);
+  EXPECT_EQ(m.records_out, 2u);
+  EXPECT_TRUE(m.records_conserved());
+  EXPECT_EQ(service.engine_stats().records, 2u);
+  EXPECT_EQ(live.size(), 1u);
+}
+
 // Conservation holds under every record-path fault kind, one at a time and
 // all together.
 TEST(PredictionService, ConservationUnderEachFaultKind) {

@@ -34,8 +34,7 @@ TEST(Strings, JoinRoundTrip) {
   EXPECT_EQ(join({"solo"}, "-"), "solo");
 }
 
-TEST(Strings, ToLowerAndStartsWith) {
-  EXPECT_EQ(to_lower("MiXeD 123"), "mixed 123");
+TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("FAILURE ciodb", "FAILURE"));
   EXPECT_FALSE(starts_with("abc", "abcd"));
 }
@@ -55,17 +54,59 @@ TEST(Strings, LooksNumericNegatives) {
   EXPECT_FALSE(looks_numeric("r00-m0"));  // hmm: r,m letters vs digits
 }
 
-TEST(Strings, TemplateMatchesSemantics) {
-  const std::vector<std::string> tmpl{"linkcard", "power", "module", "*",
-                                      "is", "not", "accessible"};
-  EXPECT_TRUE(template_matches(
-      tmpl, {"linkcard", "power", "module", "R00-M0", "is", "not",
-             "accessible"}));
-  EXPECT_FALSE(template_matches(
-      tmpl, {"linkcard", "power", "module", "R00-M0", "is", "accessible"}));
-  const std::vector<std::string> num{"job", "d+", "timed", "out."};
-  EXPECT_TRUE(template_matches(num, {"job", "4711", "timed", "out."}));
-  EXPECT_FALSE(template_matches(num, {"job", "alpha", "timed", "out."}));
+TEST(Strings, LooksNumericUppercaseHex) {
+  EXPECT_TRUE(looks_numeric("0XAB"));
+  EXPECT_TRUE(looks_numeric("0xAb12"));
+  EXPECT_TRUE(looks_numeric("1A2B3C"));
+  EXPECT_TRUE(looks_numeric("DEAD1"));
+  EXPECT_FALSE(looks_numeric("0XAG"));
+  EXPECT_FALSE(looks_numeric("0X"));
+  EXPECT_FALSE(looks_numeric("0x"));
+}
+
+TEST(Strings, LooksNumericHexLetterWords) {
+  // Words spelled only with a-f letters need a real digit to count.
+  EXPECT_FALSE(looks_numeric("cafe"));
+  EXPECT_FALSE(looks_numeric("detected"));
+  EXPECT_FALSE(looks_numeric("FACADE"));
+  EXPECT_FALSE(looks_numeric("bad"));
+  EXPECT_TRUE(looks_numeric("cafe1"));
+}
+
+TEST(Strings, LooksNumericHighBytes) {
+  // Bytes >= 0x80 (UTF-8 or raw) are never digits or hex letters.
+  EXPECT_FALSE(looks_numeric("\xc3\xa9"));
+  EXPECT_FALSE(looks_numeric("0x\xff"));
+  EXPECT_FALSE(looks_numeric("1\xb2\xb3"));   // 1 digit, 2 others
+  EXPECT_TRUE(looks_numeric("123\xb2"));       // 3 digits, 1 other
+  EXPECT_TRUE(looks_numeric("12ab\xe9"));      // 4 numeric, 1 other
+  EXPECT_FALSE(looks_numeric("\xb9\xb2\xb3"));  // superscripts in Latin-1
+}
+
+TEST(Strings, TokenizeAgreesWithSplitAndLooksNumeric) {
+  for (const char* s :
+       {"", " \t ", "a", "  job 4711\ttimed  out ", "0xAB 0x cafe 12ab\xe9",
+        "r00-m0 10.0.3.77 3:136 -42 \xc3\xa9 d+ *"}) {
+    SCOPED_TRACE(s);
+    Token buf[16];
+    const std::size_t n = tokenize(s, buf, 16);
+    const auto words = split(s, " \t");
+    ASSERT_EQ(n, words.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(buf[i].text(), words[i]);
+      EXPECT_EQ(buf[i].numeric, looks_numeric(words[i])) << words[i];
+    }
+  }
+}
+
+TEST(Strings, TokenizeStopsAtCapacity) {
+  Token buf[2];
+  ASSERT_EQ(tokenize("one 2 three four", buf, 2), 2u);
+  EXPECT_EQ(buf[0].text(), "one");
+  EXPECT_FALSE(buf[0].numeric);
+  EXPECT_EQ(buf[1].text(), "2");
+  EXPECT_TRUE(buf[1].numeric);
+  EXPECT_EQ(tokenize("one", buf, 0), 0u);
 }
 
 TEST(Strings, HumanDuration) {

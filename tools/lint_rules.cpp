@@ -382,8 +382,8 @@ bool is_mutable_static_container(const std::string& window) {
   if (name.empty()) return false;
 
   // An identifier followed by '(' is a function declaration returning the
-  // container (helo.hpp's `static std::vector<...> generalize(...)`) — a
-  // different thing entirely.
+  // container (`static std::vector<...> split(...)`) — a different thing
+  // entirely.
   skip_ws();
   return p >= window.size() || window[p] != '(';
 }
