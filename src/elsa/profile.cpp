@@ -6,6 +6,8 @@
 
 namespace elsa::core {
 
+// elsa-deterministic: every field it sets is serialised into the model
+// that core::model_digest fingerprints.
 SignalProfile build_profile(const std::vector<double>& train,
                             const ProfileConfig& cfg) {
   SignalProfile p;

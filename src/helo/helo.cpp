@@ -68,7 +68,8 @@ std::uint64_t TemplateMiner::bucket_key(std::size_t len,
 
 std::uint32_t TemplateMiner::best_match(const Bucket& bucket,
                                         const util::Token* tokens,
-                                        std::size_t n) const {
+                                        std::size_t n,
+                                        std::size_t* mismatches_out) const {
   std::uint32_t best = kNoTemplate;
   std::size_t best_mismatches = std::numeric_limits<std::size_t>::max();
   const std::size_t allowed = static_cast<std::size_t>(
@@ -91,6 +92,8 @@ std::uint32_t TemplateMiner::best_match(const Bucket& bucket,
       if (mismatches == 0) break;
     }
   }
+  if (mismatches_out != nullptr && best != kNoTemplate)
+    *mismatches_out = best_mismatches;
   return best;
 }
 
@@ -100,13 +103,17 @@ std::uint32_t TemplateMiner::classify(std::string_view message) {
   if (n == 0) return kNoTemplate;
   Bucket& bucket = buckets_[bucket_key(n, generalised(tokens[0]))];
 
-  const std::uint32_t best = best_match(bucket, tokens, n);
+  std::size_t mismatches = 0;
+  const std::uint32_t best = best_match(bucket, tokens, n, &mismatches);
   if (best != kNoTemplate) {
     Template& t = templates_[best];
-    // assign(1, '*') rather than = "*": GCC 12 warns falsely
-    // (-Wrestrict) on the inlined const char* assignment here.
-    for (std::size_t i = 0; i < n; ++i)
-      if (!token_matches(t.tokens[i], tokens[i])) t.tokens[i].assign(1, '*');
+    // An exact match has nothing to wildcard. assign(1, '*') rather than
+    // = "*": GCC 12 warns falsely (-Wrestrict) on the inlined const char*
+    // assignment here.
+    if (mismatches != 0)
+      for (std::size_t i = 0; i < n; ++i)
+        if (!token_matches(t.tokens[i], tokens[i]))
+          t.tokens[i].assign(1, '*');
     ++t.count;
     return best;
   }

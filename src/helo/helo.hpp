@@ -89,9 +89,12 @@ class TemplateMiner {
   static std::uint64_t bucket_key(std::size_t len, std::string_view first);
 
   /// Best template id in the bucket for the `n` tokens; kNoTemplate if the
-  /// bucket is empty or nothing is within threshold.
+  /// bucket is empty or nothing is within threshold. When a template is
+  /// found and `mismatches` is non-null, it receives that template's count
+  /// of mismatching tokens (0 for an exact match).
   std::uint32_t best_match(const Bucket& bucket, const util::Token* tokens,
-                           std::size_t n) const;
+                           std::size_t n,
+                           std::size_t* mismatches = nullptr) const;
 
   MinerConfig cfg_;
   std::vector<Template> templates_;

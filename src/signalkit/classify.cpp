@@ -15,6 +15,8 @@ const char* to_string(SignalClass c) {
   return "?";
 }
 
+// elsa-deterministic: the class and period it returns are folded by
+// core::model_digest, so equal samples must give equal decisions.
 ClassifyResult classify_signal(const std::vector<double>& x,
                                const ClassifierConfig& cfg) {
   ClassifyResult r;

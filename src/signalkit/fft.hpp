@@ -9,18 +9,19 @@
 namespace elsa::sigkit {
 
 /// In-place iterative radix-2 Cooley–Tukey. `data.size()` must be a power
-/// of two (use next_pow2 + zero padding); throws otherwise.
+/// of two (use next_pow2 + zero padding); throws otherwise. Assumes finite
+/// input: the butterfly multiplies without std::complex's inf/NaN recovery.
 void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 
 std::size_t next_pow2(std::size_t n);
 
 /// Biased autocorrelation r[k] for k in [0, max_lag], normalised so
-/// r[0] == 1 (all-zero input yields all-zero output). Computed via FFT of
-/// the mean-removed, zero-padded series — O(n log n).
+/// r[0] == 1 (all-zero and constant input yield all-zero output). Computed
+/// via FFT of the mean-removed series — O(n log n). `max_lag` is clamped to
+/// n - 1; the series is zero-padded to next_pow2(n + max_lag + 1) points,
+/// enough for the circular correlation to equal the linear one at every
+/// returned lag, so short lag windows get a short transform.
 std::vector<double> autocorrelation(const std::vector<double>& x,
                                     std::size_t max_lag);
-
-/// Power spectrum |X_k|^2 of the mean-removed series, bins [0, n_fft/2].
-std::vector<double> power_spectrum(const std::vector<double>& x);
 
 }  // namespace elsa::sigkit

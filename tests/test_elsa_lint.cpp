@@ -508,7 +508,8 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
        {"/serve/spsc_ring.hpp", "/serve/router.hpp", "/serve/model_handle.hpp",
         "/serve/metrics.hpp", "/advisor/service.cpp", "/advisor/advisor.cpp",
         "/elsa/online.cpp", "/elsa/model_io.cpp", "/mining/miner.cpp",
-        "/mining/service.cpp", "/helo/helo.cpp"}) {
+        "/mining/service.cpp", "/helo/helo.cpp", "/signalkit/fft.cpp",
+        "/signalkit/classify.cpp", "/elsa/profile.cpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream ss;
@@ -542,6 +543,9 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
             "deterministic");
   EXPECT_EQ(contract_of("elsa::helo::TemplateMiner::classify_const"),
             "realtime");
+  EXPECT_EQ(contract_of("elsa::sigkit::autocorrelation"), "deterministic");
+  EXPECT_EQ(contract_of("elsa::sigkit::classify_signal"), "deterministic");
+  EXPECT_EQ(contract_of("elsa::core::build_profile"), "deterministic");
 
   // Spot check the pin really pins: stripping the elsa-realtime markers
   // from the ring header removes its entries — i.e. deleting a live

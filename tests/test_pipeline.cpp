@@ -4,6 +4,10 @@
 // well above the DM baseline) holds.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "elsa/model_io.hpp"
 #include "elsa/pipeline.hpp"
 #include "simlog/scenario.hpp"
 
@@ -130,6 +134,36 @@ TEST(Pipeline, DmModelHasNoLocationProfiles) {
     EXPECT_EQ(p.scope, elsa::topo::Scope::System);
     EXPECT_TRUE(p.nodes.empty());
   }
+}
+
+// The hybrid model's fingerprint on the stock full-length campaigns,
+// trained on their first 4 days. The digest folds every profile's class
+// and period, so it pins each periodic/noise decision the autocorrelation
+// makes — a change to the transform that moved one would show here.
+std::string hybrid_model_digest(const simlog::Scenario& sc) {
+  const auto trace = sc.generator.generate(sc.config);
+  const auto model = core::train_offline(
+      trace, trace.t_begin_ms + 4 * 86'400'000LL, Method::Hybrid,
+      core::PipelineConfig{});
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(core::model_digest(model)));
+  return hex;
+}
+
+TEST(Pipeline, HybridModelDigestMercury2006) {
+  EXPECT_EQ(hybrid_model_digest(simlog::make_mercury_scenario(2006, 12)),
+            "3380515c379a67b4");
+}
+
+TEST(Pipeline, HybridModelDigestMercury2007) {
+  EXPECT_EQ(hybrid_model_digest(simlog::make_mercury_scenario(2007, 12)),
+            "0f345c0ed02405ce");
+}
+
+TEST(Pipeline, HybridModelDigestBlueGene2012) {
+  EXPECT_EQ(hybrid_model_digest(simlog::make_bluegene_scenario(2012, 28)),
+            "f29b3ea7bf26ecdb");
 }
 
 TEST(Pipeline, MethodNames) {

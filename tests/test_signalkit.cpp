@@ -65,15 +65,16 @@ TEST(Fft, RoundTripRestoresInput) {
 
 TEST(Fft, SineSpectrumPeaksAtFrequencyBin) {
   const std::size_t n = 512;
-  std::vector<double> x(n);
   const double k = 16;  // cycles over the window
+  std::vector<std::complex<double>> v(n);
   for (std::size_t i = 0; i < n; ++i)
-    x[i] = std::sin(2.0 * std::numbers::pi * k * static_cast<double>(i) /
-                    static_cast<double>(n));
-  const auto p = power_spectrum(x);
+    v[i] = {std::sin(2.0 * std::numbers::pi * k * static_cast<double>(i) /
+                     static_cast<double>(n)),
+            0.0};
+  fft(v);
   std::size_t argmax = 0;
-  for (std::size_t i = 1; i < p.size(); ++i)
-    if (p[i] > p[argmax]) argmax = i;
+  for (std::size_t i = 1; i <= n / 2; ++i)
+    if (std::norm(v[i]) > std::norm(v[argmax])) argmax = i;
   EXPECT_EQ(argmax, 16u);
 }
 
@@ -88,9 +89,63 @@ TEST(Fft, AutocorrelationOfPeriodicSignalPeaksAtPeriod) {
 }
 
 TEST(Fft, AutocorrelationOfConstantIsZero) {
-  std::vector<double> x(128, 5.0);
-  const auto acf = autocorrelation(x, 10);
-  for (double v : acf) EXPECT_DOUBLE_EQ(v, 0.0);
+  // 0.1 and 3.7 have inexact means: the residue must not be normalised
+  // into a spurious correlation of 1.
+  for (const std::size_t n : {1u, 2u, 3u, 33u, 128u, 1000u}) {
+    for (const double c : {0.0, 5.0, 0.1, 3.7, -2.25}) {
+      const std::vector<double> x(n, c);
+      for (const std::size_t lag :
+           {std::size_t{0}, std::size_t{10}, n / 2, n + 5}) {
+        const auto acf = autocorrelation(x, lag);
+        ASSERT_EQ(acf.size(), std::min(lag, n - 1) + 1);
+        for (double v : acf)
+          ASSERT_EQ(v, 0.0) << "n=" << n << " c=" << c << " lag=" << lag;
+      }
+    }
+  }
+}
+
+// Direct O(n * L) biased autocorrelation of the mean-removed series,
+// normalised by lag 0 — the definition the FFT path must reproduce.
+std::vector<double> direct_autocorrelation(const std::vector<double>& x,
+                                           std::size_t max_lag) {
+  const std::size_t n = x.size();  // n >= 1
+  max_lag = std::min(max_lag, n - 1);
+  std::vector<double> r(max_lag + 1, 0.0);
+  double m = 0.0;
+  for (double v : x) m += v;
+  m /= static_cast<double>(n);
+  std::vector<double> c(n);
+  for (std::size_t i = 0; i < n; ++i) c[i] = x[i] - m;
+  for (std::size_t k = 0; k <= max_lag; ++k)
+    for (std::size_t i = 0; i + k < n; ++i) r[k] += c[i] * c[i + k];
+  const double r0 = r[0];
+  if (r0 <= 0.0) return std::vector<double>(max_lag + 1, 0.0);  // constant
+  for (double& v : r) v /= r0;
+  return r;
+}
+
+TEST(Fft, AutocorrelationMatchesDirectSumAtEveryLagWindow) {
+  // The transform size follows n + max_lag + 1, so each lag window gets
+  // its own padding; every one, down to the smallest transforms, must
+  // agree with the direct sum.
+  Rng rng(31);
+  for (const std::size_t n :
+       {1u, 2u, 3u, 31u, 32u, 33u, 1000u, 4097u, 34560u}) {
+    std::vector<double> x(n);
+    for (auto& v : x) v = static_cast<double>(rng.poisson(1.5));
+    // n + 5 exercises the clamp of max_lag to n - 1.
+    for (const std::size_t lag :
+         {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n + 5}) {
+      const auto got = autocorrelation(x, lag);
+      const auto want = direct_autocorrelation(x, lag);
+      ASSERT_EQ(got.size(), std::min(lag, n - 1) + 1);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t k = 0; k < got.size(); ++k)
+        ASSERT_NEAR(got[k], want[k], 1e-12)
+            << "n=" << n << " max_lag=" << lag << " k=" << k;
+    }
+  }
 }
 
 // ---- classifier on the three synthetic classes of paper Fig 1 ----------

@@ -6,6 +6,8 @@
 //   elsa train --system bluegene|mercury --log LOG [--method hybrid|signal|dm]
 //              [--train-days N] --out MODEL
 //       Run the offline phase on a RAS log and persist the learned model.
+//       The summary line ends in the model digest (core::model_digest), the
+//       reproducibility receipt of the offline phase.
 //
 //   elsa inspect --model MODEL
 //       Summarise a model: templates, signal classes, chains.
@@ -180,6 +182,13 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+std::string hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 int cmd_train(const std::map<std::string, std::string>& flags) {
   const auto trace = trace_from_log(flags.at("log"), flags.at("system"));
   const double span_days =
@@ -203,7 +212,8 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
             << util::format_double(train_days, 1) << " days: "
             << model.helo.size() << " event types, " << model.chains.size()
             << " chains (" << predictive << " predictive) -> "
-            << flags.at("out") << "\n";
+            << flags.at("out") << ", model digest "
+            << hex64(core::model_digest(model)) << "\n";
   return 0;
 }
 
@@ -412,13 +422,6 @@ std::vector<std::size_t> parse_shard_list(const std::string& s) {
   }
   if (out.empty()) throw std::runtime_error("empty --shards list");
   return out;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Field-for-field equality of two deterministic prediction streams.
