@@ -43,7 +43,11 @@ bool canonical_less(const serve::ClassifiedEvent& a,
   return a.severity < b.severity;
 }
 
-OnlineMiner::OnlineMiner(MinerConfig cfg) : cfg_(cfg) {}
+OnlineMiner::OnlineMiner(MinerConfig cfg) : cfg_(cfg) {
+  if (cfg_.lookback > kNoSlot)
+    throw std::invalid_argument("OnlineMiner: lookback must be below 2^32");
+  ring_.resize(cfg_.lookback);
+}
 
 double OnlineMiner::decay_to_now(std::uint64_t last) const {
   if (cfg_.half_life_events <= 0.0 || last >= folded_) return 1.0;
@@ -58,33 +62,87 @@ void OnlineMiner::fold(const serve::ClassifiedEvent& e) {
   ++folded_;
   last_time_ms_ = e.time_ms;
 
-  if (e.tmpl >= tstats_.size()) tstats_.resize(e.tmpl + 1);
+  if (e.tmpl >= tstats_.size()) {
+    tstats_.resize(e.tmpl + 1);
+    lanes_.resize(e.tmpl + 1);
+  }
   TemplateStat& t = tstats_[e.tmpl];
   t.count = t.count * decay_to_now(t.last) + 1.0;
   t.last = folded_;
   t.sev[std::min<std::size_t>(e.severity, 4)] += 1;
 
-  // Pair the arrival against the lookback window. Each (antecedent ->
-  // this) pair entry is independent, so iteration order cannot affect the
-  // result; eviction is deferred past the loop to keep it that way.
-  for (const Recent& r : recent_) {
-    if (e.time_ms - r.time_ms > cfg_.window_ms) continue;
-    if (r.tmpl == e.tmpl) continue;
-    PairStat& p = pairs_[pair_key(r.tmpl, e.tmpl)];
+  // Pair the arrival against the lookback window, one pass per antecedent
+  // template: one map lookup per (antecedent -> this) pair, its updates
+  // applied in window order. Only the first update can decay (it stamps
+  // p.last = folded_, so later ones see k == 1.0 and x * 1.0 == x): the
+  // plain adds below are the per-slot updates bit for bit. Pairs are
+  // independent, so the template order cannot affect the result; eviction
+  // is deferred past the loop to keep it that way.
+  const double dt = static_cast<double>(cfg_.dt_ms);
+  const auto in_window = [&](const Slot& s) {
+    return e.time_ms - s.time_ms <= cfg_.window_ms;
+  };
+  for (const std::uint32_t a : present_) {
+    if (a == e.tmpl) continue;
+    std::uint32_t s = lanes_[a].oldest;
+    while (s != kNoSlot && !in_window(ring_[s])) s = ring_[s].next;
+    if (s == kNoSlot) continue;
+    const auto [it, inserted] = pairs_.try_emplace(pair_key(a, e.tmpl));
+    keys_stale_ = keys_stale_ || inserted;
+    PairStat& p = it->second;
     const double k = decay_to_now(p.last);
-    p.count = p.count * k + 1.0;
-    p.delay_sum = p.delay_sum * k +
-                  static_cast<double>(e.time_ms - r.time_ms) /
-                      static_cast<double>(cfg_.dt_ms);
+    double count = p.count * k + 1.0;
+    double delay_sum = p.delay_sum * k +
+                       static_cast<double>(e.time_ms - ring_[s].time_ms) / dt;
+    for (s = ring_[s].next; s != kNoSlot; s = ring_[s].next) {
+      if (!in_window(ring_[s])) continue;
+      count += 1.0;
+      delay_sum += static_cast<double>(e.time_ms - ring_[s].time_ms) / dt;
+    }
+    p.count = count;
+    p.delay_sum = delay_sum;
     p.last = folded_;
   }
   if (pairs_.size() > cfg_.max_pairs) evict_pairs();
 
-  while (!recent_.empty() &&
-         (recent_.size() >= cfg_.lookback ||
-          recent_.front().time_ms < e.time_ms - cfg_.window_ms))
-    recent_.pop_front();
-  if (cfg_.lookback > 0) recent_.push_back({e.time_ms, e.tmpl});
+  while (ring_size_ > 0 &&
+         (ring_size_ >= cfg_.lookback ||
+          ring_[ring_head_].time_ms < e.time_ms - cfg_.window_ms))
+    pop_recent();
+  if (cfg_.lookback > 0) push_recent(e.time_ms, e.tmpl);
+}
+
+void OnlineMiner::push_recent(std::int64_t time_ms, std::uint32_t tmpl) {
+  std::size_t slot = ring_head_ + ring_size_;
+  if (slot >= ring_.size()) slot -= ring_.size();
+  const auto idx = static_cast<std::uint32_t>(slot);
+  ring_[slot] = {time_ms, tmpl, kNoSlot};
+  Lane& lane = lanes_[tmpl];
+  if (lane.newest == kNoSlot) {
+    lane.oldest = idx;
+    lane.pos = static_cast<std::uint32_t>(present_.size());
+    present_.push_back(tmpl);
+  } else {
+    ring_[lane.newest].next = idx;
+  }
+  lane.newest = idx;
+  ++ring_size_;
+}
+
+void OnlineMiner::pop_recent() {
+  // The oldest slot overall is the oldest of its template.
+  const Slot& s = ring_[ring_head_];
+  Lane& lane = lanes_[s.tmpl];
+  lane.oldest = s.next;
+  if (lane.oldest == kNoSlot) {
+    lane.newest = kNoSlot;
+    const std::uint32_t moved = present_.back();
+    present_[lane.pos] = moved;
+    lanes_[moved].pos = lane.pos;
+    present_.pop_back();
+  }
+  if (++ring_head_ == ring_.size()) ring_head_ = 0;
+  --ring_size_;
 }
 
 void OnlineMiner::evict_pairs() {
@@ -102,6 +160,19 @@ void OnlineMiner::evict_pairs() {
   std::sort(weights.begin(), weights.end());
   const std::size_t evict = pairs_.size() - target;
   for (std::size_t i = 0; i < evict; ++i) pairs_.erase(weights[i].second);
+  keys_stale_ = true;
+}
+
+const std::vector<std::uint64_t>& OnlineMiner::sorted_keys() const {
+  if (!keys_stale_) return keys_;
+  keys_.clear();
+  keys_.reserve(pairs_.size());
+  // elsa-lint: allow(det-unordered-escape): collect-then-sort — the keys
+  // are sorted on the next line; callers walk the sorted order only.
+  for (const auto& [key, p] : pairs_) keys_.push_back(key);
+  std::sort(keys_.begin(), keys_.end());
+  keys_stale_ = false;
+  return keys_;
 }
 
 simlog::Severity OnlineMiner::majority_severity(const TemplateStat& t) const {
@@ -135,12 +206,7 @@ core::OfflineModel OnlineMiner::build_model(
   // Sorted key walk: every emission decision below follows the sorted
   // (antecedent, consequent) order, never unordered_map iteration order —
   // equal state therefore always serialises to equal bytes.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pairs_.size());
-  // elsa-lint: allow(det-unordered-escape): collect-then-sort — the keys
-  // are sorted on the next line; emission walks the sorted order only.
-  for (const auto& [key, p] : pairs_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  const std::vector<std::uint64_t>& keys = sorted_keys();
   std::vector<std::vector<std::uint32_t>> adj(T);
   for (const std::uint64_t key : keys)
     adj[static_cast<std::uint32_t>(key >> 32)].push_back(
@@ -232,15 +298,12 @@ void OnlineMiner::save_state(std::ostream& os) const {
     for (std::size_t s = 0; s < 5; ++s) os << " " << t.sev[s];
     os << "\n";
   }
-  os << "recent " << recent_.size() << "\n";
-  for (const Recent& r : recent_) os << "r " << r.time_ms << " " << r.tmpl
-                                     << "\n";
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pairs_.size());
-  // elsa-lint: allow(det-unordered-escape): collect-then-sort — the pair
-  // rows are emitted in sorted-key order, never in hash order.
-  for (const auto& [key, p] : pairs_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  os << "recent " << ring_size_ << "\n";
+  for (std::size_t i = 0, slot = ring_head_; i < ring_size_; ++i) {
+    os << "r " << ring_[slot].time_ms << " " << ring_[slot].tmpl << "\n";
+    if (++slot == ring_.size()) slot = 0;
+  }
+  const std::vector<std::uint64_t>& keys = sorted_keys();
   os << "pairs " << keys.size() << "\n";
   for (const std::uint64_t key : keys) {
     const PairStat& p = pairs_.at(key);
@@ -254,6 +317,21 @@ void OnlineMiner::load_state(std::istream& is) {
   const auto fail = [](const char* what) {
     throw std::runtime_error(std::string("OnlineMiner::load_state: ") + what);
   };
+  // A count may not promise more rows than the input holds: a row of `k`
+  // fields takes at least 2k - 1 bytes. Only seekable streams can tell;
+  // the others grow row by row, so a false count still fails on the
+  // first missing row rather than allocating up front.
+  const auto check_rows = [&is, &fail](std::uint64_t n, std::uint64_t fields,
+                                       const char* what) {
+    const auto here = is.tellg();
+    if (here < 0) return;
+    is.seekg(0, std::ios::end);
+    const auto end = is.tellg();
+    is.seekg(here);
+    if (end >= here && n > static_cast<std::uint64_t>(end - here) /
+                               (2 * fields - 1))
+      fail(what);
+  };
   std::string word;
   int version = 0;
   if (!(is >> word >> version) || word != "elsa-miner-state" || version != 1)
@@ -263,35 +341,53 @@ void OnlineMiner::load_state(std::istream& is) {
   if (!(is >> word >> folded) || word != "folded") fail("bad folded");
   if (!(is >> word >> first) || word != "first") fail("bad first");
   if (!(is >> word >> last) || word != "last") fail("bad last");
-  std::size_t n = 0;
+  std::uint64_t n = 0;
   if (!(is >> word >> n) || word != "templates") fail("bad templates");
-  std::vector<TemplateStat> tstats(n);
-  for (TemplateStat& t : tstats) {
+  if (n > kNoSlot) fail("template count exceeds the id space");
+  check_rows(n, 8, "template count exceeds the input");
+  std::vector<TemplateStat> tstats;
+  while (tstats.size() < n) {
+    TemplateStat t;
     std::uint64_t cnt = 0;
     if (!(is >> word >> cnt >> t.last) || word != "t") fail("bad template row");
     t.count = bits_double(cnt);
     for (std::size_t s = 0; s < 5; ++s)
       if (!(is >> t.sev[s])) fail("bad severity row");
+    tstats.push_back(t);
   }
+  const std::uint64_t templates = tstats.size();
+
   if (!(is >> word >> n) || word != "recent") fail("bad recent");
-  std::deque<Recent> recent;
-  for (std::size_t i = 0; i < n; ++i) {
-    Recent r{};
+  if (n > cfg_.lookback) fail("more recent rows than lookback");
+  check_rows(n, 3, "recent count exceeds the input");
+  std::vector<Slot> recent;
+  recent.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Slot r{0, 0, kNoSlot};
     if (!(is >> word >> r.time_ms >> r.tmpl) || word != "r")
       fail("bad recent row");
+    if (r.tmpl >= templates) fail("recent template id out of range");
+    if (!recent.empty() && r.time_ms < recent.back().time_ms)
+      fail("recent rows out of time order");
     recent.push_back(r);
   }
+
   if (!(is >> word >> n) || word != "pairs") fail("bad pairs");
+  if (n > cfg_.max_pairs) fail("more pairs than max_pairs");
+  check_rows(n, 5, "pair count exceeds the input");
   std::unordered_map<std::uint64_t, PairStat> pairs;
-  pairs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  pairs.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t key = 0, cnt = 0, dsum = 0;
     PairStat p;
     if (!(is >> word >> key >> cnt >> dsum >> p.last) || word != "p")
       fail("bad pair row");
+    const std::uint64_t a = key >> 32, b = key & 0xffffffffu;
+    if (a == b) fail("self pair");
+    if (a >= templates || b >= templates) fail("pair template id out of range");
     p.count = bits_double(cnt);
     p.delay_sum = bits_double(dsum);
-    pairs.emplace(key, p);
+    if (!pairs.emplace(key, p).second) fail("duplicate pair key");
   }
   if (!(is >> word) || word != "end") fail("missing trailer");
 
@@ -299,8 +395,13 @@ void OnlineMiner::load_state(std::istream& is) {
   first_time_ms_ = first;
   last_time_ms_ = last;
   tstats_ = std::move(tstats);
-  recent_ = std::move(recent);
   pairs_ = std::move(pairs);
+  keys_stale_ = true;
+  lanes_.assign(tstats_.size(), Lane{});
+  present_.clear();
+  ring_head_ = 0;
+  ring_size_ = 0;
+  for (const Slot& r : recent) push_recent(r.time_ms, r.tmpl);
 }
 
 // elsa-deterministic: the rolling publish-history digest the CI equivalence

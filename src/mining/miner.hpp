@@ -14,13 +14,13 @@
 // model digests. The `elsa mine --check` CI gate is built on exactly this.
 //
 // Memory is bounded by construction: per-template stats grow with the HELO
-// template set (itself bounded), the pairing lookback is a fixed-size
-// window, and the candidate pair map is capped with deterministic
+// template set (itself bounded), the pairing lookback is a fixed ring of
+// `lookback` slots threaded per template (O(templates + lookback), see
+// DESIGN.md §20), and the candidate pair map is capped with deterministic
 // lowest-weight eviction.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <unordered_map>
 #include <vector>
@@ -40,7 +40,7 @@ struct MinerConfig {
   /// (plain cumulative counts — what the online≡batch gate replays with).
   double half_life_events = 0.0;
   /// Most recent events an arriving event is paired against (per-event
-  /// lookback cap; the window_ms gate applies on top).
+  /// lookback cap; the window_ms gate applies on top). Below 2^32.
   std::size_t lookback = 64;
   /// Candidate pair-map cap. On overflow the map is shrunk to 7/8 of the
   /// cap by evicting the lowest decayed-count pairs (ties broken by key),
@@ -68,6 +68,8 @@ bool canonical_less(const serve::ClassifiedEvent& a,
 
 class OnlineMiner {
  public:
+  /// Throws std::invalid_argument when cfg.lookback does not fit a slot
+  /// index (>= 2^32).
   explicit OnlineMiner(MinerConfig cfg = {});
 
   /// Fold one classified event. Events must arrive in canonical order
@@ -99,7 +101,11 @@ class OnlineMiner {
   void save_state(std::ostream& os) const;
   /// Restore state saved by save_state (config is NOT persisted: the
   /// caller constructs with the same MinerConfig). Throws
-  /// std::runtime_error on malformed input.
+  /// std::runtime_error on malformed input, and on state this config could
+  /// not have produced: more recent rows than `lookback`, recent rows out
+  /// of time order, template ids >= the template count, a self pair, a
+  /// duplicate pair key or more than `max_pairs` pairs. No count allocates
+  /// more than the input holds or the config allows.
   void load_state(std::istream& is);
 
   const MinerConfig& config() const { return cfg_; }
@@ -115,14 +121,31 @@ class OnlineMiner {
     double delay_sum = 0.0;     ///< decayed sum of delays, in samples
     std::uint64_t last = 0;
   };
-  struct Recent {
+  /// Lookback window: a ring of `lookback` slots, oldest at ring_head_.
+  /// Each slot links to the next-newer slot of the same template, so an
+  /// arrival visits each antecedent template once, walking its slots in
+  /// window order (DESIGN.md §20).
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  struct Slot {
     std::int64_t time_ms;
     std::uint32_t tmpl;
+    std::uint32_t next;  ///< next-newer slot of `tmpl`, or kNoSlot
+  };
+  /// One template's thread through the ring.
+  struct Lane {
+    std::uint32_t oldest = kNoSlot;
+    std::uint32_t newest = kNoSlot;
+    std::uint32_t pos = 0;  ///< index in present_ while oldest != kNoSlot
   };
 
   /// Decay factor for a stat last touched at fold index `last`.
   double decay_to_now(std::uint64_t last) const;
   void evict_pairs();
+  void push_recent(std::int64_t time_ms, std::uint32_t tmpl);
+  void pop_recent();
+  /// Pair keys in ascending order, re-sorted only when the key set changed
+  /// since the last call (fold inserted or evicted a pair, or a load).
+  const std::vector<std::uint64_t>& sorted_keys() const;
   /// Majority severity of a template (ties break toward the lower level).
   simlog::Severity majority_severity(const TemplateStat& t) const;
 
@@ -131,9 +154,17 @@ class OnlineMiner {
   std::int64_t first_time_ms_ = 0;
   std::int64_t last_time_ms_ = 0;
   std::vector<TemplateStat> tstats_;
-  std::deque<Recent> recent_;
+  std::vector<Slot> ring_;         ///< cfg_.lookback slots
+  std::size_t ring_head_ = 0;      ///< oldest occupied slot
+  std::size_t ring_size_ = 0;
+  std::vector<Lane> lanes_;        ///< per template, sized like tstats_
+  std::vector<std::uint32_t> present_;  ///< templates with a slot in ring_
   /// key = antecedent << 32 | consequent.
   std::unordered_map<std::uint64_t, PairStat> pairs_;
+  /// build_model/save_state cache: the sorted key set of pairs_ and
+  /// whether it is stale. Single-threaded like the rest of the miner.
+  mutable std::vector<std::uint64_t> keys_;
+  mutable bool keys_stale_ = false;
 };
 
 /// Result of one publish-boundary replay (batch leg of the CI gate).

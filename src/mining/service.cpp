@@ -108,10 +108,10 @@ void MinerService::fold_below(std::int64_t watermark_ms) {
   std::stable_sort(scratch_.begin(), scratch_.end(), canonical_less);
   for (const serve::ClassifiedEvent& e : scratch_) {
     miner_.fold(e);
-    if (metrics_) metrics_->on_miner_event();
     if (publish_every_ != 0 && miner_.folded() % publish_every_ == 0)
       publish_model();
   }
+  if (metrics_) metrics_->on_miner_event(scratch_.size());
 }
 
 // elsa-deterministic: every interim publish digests into publish_digest_

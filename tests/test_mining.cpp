@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -131,6 +132,101 @@ TEST(OnlineMiner, LoadStateRejectsMalformedInput) {
   EXPECT_THROW(miner.load_state(bad), std::runtime_error);
 }
 
+/// save_state of one folded cascade (templates 0, 1, 2 at 0 s, 10 s,
+/// 30 s) with `from` replaced by `to` — a valid state with one corruption.
+std::string cascade_state(const std::string& from = "",
+                          const std::string& to = "") {
+  mining::OnlineMiner miner;
+  for (const auto& e : cascade_stream(1)) miner.fold(e);
+  std::ostringstream os;
+  miner.save_state(os);
+  std::string s = os.str();
+  if (!from.empty()) {
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) s.replace(at, from.size(), to);
+  }
+  return s;
+}
+
+void expect_load_fails(const std::string& state,
+                       mining::MinerConfig cfg = {}) {
+  mining::OnlineMiner miner(cfg);
+  for (const auto& e : cascade_stream(2)) miner.fold(e);
+  std::ostringstream before;
+  miner.save_state(before);
+  std::istringstream is(state);
+  EXPECT_THROW(miner.load_state(is), std::runtime_error);
+  // A rejected load leaves the miner as it was.
+  std::ostringstream after;
+  miner.save_state(after);
+  EXPECT_EQ(after.str(), before.str());
+}
+
+/// A stream that cannot seek, so it cannot tell how much input is left.
+struct OneWayBuf : std::streambuf {
+  explicit OneWayBuf(std::string s) : text(std::move(s)) {
+    setg(text.data(), text.data(), text.data() + text.size());
+  }
+  std::string text;
+};
+
+TEST(OnlineMiner, LoadStateAcceptsItsOwnSaves) {
+  std::istringstream is(cascade_state());
+  mining::OnlineMiner miner;
+  miner.load_state(is);
+  std::ostringstream os;
+  miner.save_state(os);
+  EXPECT_EQ(os.str(), cascade_state());
+}
+
+TEST(OnlineMiner, LoadStateRejectsCountsBeyondTheInput) {
+  // A count the input cannot hold fails as std::runtime_error before
+  // anything is sized by it, never as std::bad_alloc.
+  expect_load_fails(cascade_state("templates 3", "templates 4000000000"));
+  expect_load_fails(cascade_state("templates 3", "templates 99999999999999"));
+  expect_load_fails(cascade_state("recent 3", "recent 60"));
+  expect_load_fails(cascade_state("pairs 3", "pairs 60000"));
+  OneWayBuf buf(cascade_state("templates 3", "templates 4000000000"));
+  std::istream one_way(&buf);
+  mining::OnlineMiner miner;
+  EXPECT_THROW(miner.load_state(one_way), std::runtime_error);
+}
+
+TEST(OnlineMiner, LoadStateRejectsMoreRecentRowsThanLookback) {
+  mining::MinerConfig cfg;
+  cfg.lookback = 2;
+  expect_load_fails(cascade_state(), cfg);
+}
+
+TEST(OnlineMiner, LoadStateRejectsRecentRowsOutOfTimeOrder) {
+  expect_load_fails(cascade_state("r 10000 1", "r 40000 1"));
+}
+
+TEST(OnlineMiner, LoadStateRejectsRecentTemplateOutOfRange) {
+  expect_load_fails(cascade_state("r 30000 2", "r 30000 3"));
+}
+
+TEST(OnlineMiner, LoadStateRejectsSelfPair) {
+  // Key 1 is (0 -> 1); key 0 would be (0 -> 0).
+  expect_load_fails(cascade_state("p 1 ", "p 0 "));
+}
+
+TEST(OnlineMiner, LoadStateRejectsPairTemplateOutOfRange) {
+  expect_load_fails(cascade_state("p 2 ", "p 3 "));
+  expect_load_fails(cascade_state("p 2 ", "p 12884901890 "));  // (3 -> 2)
+}
+
+TEST(OnlineMiner, LoadStateRejectsDuplicatePairKey) {
+  expect_load_fails(cascade_state("p 2 ", "p 1 "));
+}
+
+TEST(OnlineMiner, LoadStateRejectsMorePairsThanMaxPairs) {
+  mining::MinerConfig cfg;
+  cfg.max_pairs = 2;
+  expect_load_fails(cascade_state(), cfg);
+}
+
 TEST(OnlineMiner, PairMemoryStaysBounded) {
   mining::MinerConfig cfg;
   cfg.max_pairs = 64;
@@ -160,6 +256,87 @@ TEST(OnlineMiner, EvictionIsDeterministic) {
     return s.str();
   };
   EXPECT_EQ(run(), run());
+}
+
+// ------------------------------------------- full-length fold goldens ---
+//
+// FNV-1a of the save_state text after folding the whole canonically sorted
+// 28-day BG/L seed-2012 stream (live classifier, trace order), one per
+// MinerConfig that takes a different path through fold: decay, forced
+// evictions, a short lookback, a short window. The state carries the raw
+// bits of every decayed count and delay sum, so these see last-bit drift
+// that the model digest (rounded delays) cannot.
+
+const std::vector<ClassifiedEvent>& bluegene_28d_stream() {
+  static const std::vector<ClassifiedEvent> events = [] {
+    auto scenario = simlog::make_bluegene_scenario(2012, 28.0);
+    const auto trace = scenario.generator.generate(scenario.config);
+    helo::TemplateMiner classifier;
+    std::vector<ClassifiedEvent> out;
+    out.reserve(trace.records.size());
+    for (const auto& rec : trace.records)
+      out.push_back({rec.time_ms, rec.node_id,
+                     classifier.classify(rec.message),
+                     static_cast<std::uint8_t>(rec.severity)});
+    std::stable_sort(out.begin(), out.end(), mining::canonical_less);
+    return out;
+  }();
+  return events;
+}
+
+std::string state_text(const mining::OnlineMiner& m) {
+  std::ostringstream s;
+  m.save_state(s);
+  return s.str();
+}
+
+std::uint64_t fold_digest(const mining::MinerConfig& cfg) {
+  mining::OnlineMiner m(cfg);
+  for (const auto& e : bluegene_28d_stream()) m.fold(e);
+  return core::fnv1a_digest(state_text(m));
+}
+
+using Cfg = mining::MinerConfig;
+
+Cfg with(void (*edit)(Cfg&)) {
+  Cfg cfg;
+  edit(cfg);
+  return cfg;
+}
+
+TEST(FoldGolden, BlueGeneTwentyEightDaysSeed2012) {
+  ASSERT_EQ(bluegene_28d_stream().size(), 1'196'826u);
+  EXPECT_EQ(fold_digest({}), 0xc32d03be98f7dd13ULL);
+  EXPECT_EQ(fold_digest(with([](Cfg& c) { c.half_life_events = 4096; })),
+            0x1c9939e2539e6f3fULL);
+  EXPECT_EQ(fold_digest(with([](Cfg& c) { c.max_pairs = 256; })),
+            0x92f027b684345dedULL);
+  EXPECT_EQ(fold_digest(with([](Cfg& c) { c.lookback = 8; })),
+            0xc3deeaf60c58831eULL);
+  EXPECT_EQ(fold_digest(with([](Cfg& c) { c.window_ms = 30'000; })),
+            0xa0068cf6798395c7ULL);
+}
+
+TEST(FoldGolden, SaveLoadContinueEqualsUninterruptedAtThreeCuts) {
+  const auto& events = bluegene_28d_stream();
+  for (const auto& cfg :
+       {Cfg{}, with([](Cfg& c) { c.half_life_events = 4096; }),
+        with([](Cfg& c) { c.max_pairs = 256; })}) {
+    mining::OnlineMiner straight(cfg);
+    for (const auto& e : events) straight.fold(e);
+    const std::string want = state_text(straight);
+    for (const std::size_t cut :
+         {std::size_t{1}, events.size() / 3, events.size() - 17}) {
+      mining::OnlineMiner first(cfg);
+      for (std::size_t i = 0; i < cut; ++i) first.fold(events[i]);
+      std::stringstream saved(state_text(first));
+      mining::OnlineMiner resumed(cfg);
+      resumed.load_state(saved);
+      for (std::size_t i = cut; i < events.size(); ++i)
+        resumed.fold(events[i]);
+      EXPECT_EQ(state_text(resumed), want) << "cut " << cut;
+    }
+  }
 }
 
 // ---------------------------------------------------------- RcuHub ------
