@@ -1,5 +1,6 @@
 #include "elsa/model_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,25 @@ void expect(std::istream& is, const std::string& keyword) {
   if (!(is >> word) || word != keyword)
     throw std::runtime_error("load_model: expected '" + keyword + "', got '" +
                              word + "'");
+}
+
+/// Read the keyword of row `i` of an `n`-row section. Rows are read one by
+/// one into growing vectors, so a count larger than the rows present ends
+/// here rather than in an up-front allocation of `n` elements.
+void expect_row(std::istream& is, const std::string& keyword,
+                const char* section, std::size_t i, std::size_t n) {
+  std::string word;
+  if (!(is >> word) || word != keyword)
+    throw std::runtime_error("load_model: truncated " + std::string(section) +
+                             " section: row " + std::to_string(i) + " of " +
+                             std::to_string(n) + " missing");
+}
+
+/// Reject a profile field a detector cannot run on.
+void check_profile_field(bool ok, std::size_t index, const char* what) {
+  if (!ok)
+    throw std::runtime_error("load_model: profile " + std::to_string(index) +
+                             ": " + what);
 }
 
 }  // namespace
@@ -83,65 +103,82 @@ OfflineModel load_model(std::istream& is) {
   expect(is, "templates");
   std::size_t n = 0;
   is >> n;
-  std::vector<helo::Template> templates(n);
+  std::vector<helo::Template> templates;
   for (std::size_t i = 0; i < n; ++i) {
-    expect(is, "T");
+    expect_row(is, "T", "template", i, n);
+    helo::Template& t = templates.emplace_back();
     std::size_t tokens = 0;
-    is >> templates[i].count >> tokens;
-    templates[i].tokens.resize(tokens);
-    for (auto& tok : templates[i].tokens) is >> tok;
+    is >> t.count >> tokens;
+    for (std::size_t k = 0; k < tokens && is; ++k) is >> t.tokens.emplace_back();
+    if (!is)
+      throw std::runtime_error("load_model: truncated template section");
   }
-  if (!is) throw std::runtime_error("load_model: truncated template section");
   model.helo = helo::TemplateMiner::from_templates(std::move(templates));
 
   expect(is, "profiles");
   is >> n;
-  model.profiles.resize(n);
-  for (auto& p : model.profiles) {
-    expect(is, "P");
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_row(is, "P", "profile", i, n);
+    SignalProfile& p = model.profiles.emplace_back();
     int cls = 0;
     is >> cls >> p.median >> p.mad >> p.spike_delta >> p.dropout_window >>
         p.dropout_min_count >> p.period >> p.mean;
+    // The stream itself refuses "nan", "inf" and out-of-range values, so
+    // what reaches the checks below is finite.
+    check_profile_field(static_cast<bool>(is), i,
+                        "malformed or truncated row");
     if (cls < 0 || cls > 2)
       throw std::runtime_error("load_model: bad signal class");
     p.cls = static_cast<sigkit::SignalClass>(cls);
+    check_profile_field(p.mad >= 0.0, i, "mad must be >= 0");
+    check_profile_field(p.spike_delta >= 0.0, i, "spike_delta must be >= 0");
+    check_profile_field(p.dropout_min_count >= 0.0, i,
+                        "dropout_min_count must be >= 0");
+    check_profile_field(p.dropout_window <= kMaxDropoutWindow, i,
+                        "dropout_window exceeds kMaxDropoutWindow");
   }
 
   expect(is, "severities");
   is >> n;
   expect(is, "S");
-  model.tmpl_severity.resize(n);
-  for (auto& s : model.tmpl_severity) {
+  for (std::size_t i = 0; i < n; ++i) {
     int v = 0;
-    is >> v;
+    if (!(is >> v))
+      throw std::runtime_error("load_model: truncated severity section");
     if (v < 0 || v > 4) throw std::runtime_error("load_model: bad severity");
-    s = static_cast<simlog::Severity>(v);
+    model.tmpl_severity.push_back(static_cast<simlog::Severity>(v));
   }
 
   expect(is, "chains");
   is >> n;
-  model.chains.resize(n);
-  for (auto& c : model.chains) {
-    expect(is, "C");
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_row(is, "C", "chain", i, n);
+    Chain& c = model.chains.emplace_back();
     std::size_t items = 0;
     int scope = 0;
     is >> items >> c.support >> c.confidence >> c.significance >>
         c.failure_item >> scope >> c.location.propagating_fraction >>
         c.location.initiator_included >> c.location.mean_nodes >>
         c.location.occurrences;
+    if (!is) throw std::runtime_error("load_model: truncated chain section");
     if (scope < 0 || scope > 5)
       throw std::runtime_error("load_model: bad scope");
     c.location.scope = static_cast<topo::Scope>(scope);
-    c.items.resize(items);
-    for (auto& item : c.items) {
+    for (std::size_t k = 0; k < items; ++k) {
       std::string pair;
-      is >> pair;
+      if (!(is >> pair))
+        throw std::runtime_error("load_model: truncated chain section");
       const auto colon = pair.find(':');
       if (colon == std::string::npos)
         throw std::runtime_error("load_model: bad chain item '" + pair + "'");
-      item.signal =
-          static_cast<std::uint32_t>(std::stoul(pair.substr(0, colon)));
-      item.delay = std::stoi(pair.substr(colon + 1));
+      ChainItem& item = c.items.emplace_back();
+      const char* const mid = pair.data() + colon;
+      const char* const last = pair.data() + pair.size();
+      const auto sig = std::from_chars(pair.data(), mid, item.signal);
+      const auto del = std::from_chars(mid + 1, last, item.delay);
+      if (sig.ec != std::errc{} || sig.ptr != mid || del.ec != std::errc{} ||
+          del.ptr != last)
+        throw std::runtime_error("load_model: bad chain item '" + pair + "'");
       if (item.signal >= model.helo.size())
         throw std::runtime_error("load_model: chain references unknown template");
     }

@@ -47,16 +47,18 @@ OnlineEngine::OnlineEngine(const topo::Topology& topo,
       model_(owned_.get()),
       cfg_(cfg) {
   chain_fires_.assign(model_->chains.size(), 0);
+  pending_.resize(model_->chains.size());
   detectors_.reserve(model_->profiles.size());
   for (const auto& p : model_->profiles)
     detectors_.emplace_back(p, cfg_.median_window, cfg_.detector);
+  slots_.resize(detectors_.size());
 }
 
 void OnlineEngine::swap_model(const ModelState* m) {
   model_ = m;
   // Chain ids are indexes into the new model's chain vector: pending
   // partial matches and fire counts keyed by the old ids are void.
-  pending_.clear();
+  pending_.assign(model_->chains.size(), {});
   chain_fires_.assign(model_->chains.size(), 0);
   // Detector histories survive for templates both models know — the
   // observed signal stream did not change, only the rules reading it. New
@@ -64,6 +66,7 @@ void OnlineEngine::swap_model(const ModelState* m) {
   for (std::size_t t = detectors_.size(); t < model_->profiles.size(); ++t)
     detectors_.emplace_back(model_->profiles[t], cfg_.median_window,
                             cfg_.detector);
+  slots_.resize(detectors_.size());
 }
 
 void OnlineEngine::ensure_detector(std::uint32_t tmpl) {
@@ -76,6 +79,8 @@ void OnlineEngine::ensure_detector(std::uint32_t tmpl) {
     // elsa-lint: allow(realtime-allocates): grows once per never-seen
     // template id — a model-size event, not a per-record one.
     detectors_.emplace_back(p, cfg_.median_window, cfg_.detector);
+    // elsa-lint: allow(realtime-allocates): same model-size growth.
+    slots_.emplace_back();
   }
 }
 
@@ -139,13 +144,12 @@ void OnlineEngine::feed(const simlog::LogRecord& rec, std::uint32_t tmpl) {
       cfg_.cost.per_event_ms;
 
   ensure_detector(tmpl);
-  auto& [count, nodes] = bucket_activity_[tmpl];
-  ++count;
-  if (rec.node_id >= 0 && nodes.size() < 8 &&
-      std::find(nodes.begin(), nodes.end(), rec.node_id) == nodes.end())
-    // elsa-lint: allow(realtime-allocates): bounded dedup — at most eight
-    // distinct node ids are remembered per (template, bucket).
-    nodes.push_back(rec.node_id);
+  Slot& slot = slots_[tmpl];
+  ++slot.count;
+  const auto seen = slot.nodes.begin() + slot.n_nodes;
+  if (rec.node_id >= 0 && slot.n_nodes < slot.nodes.size() &&
+      std::find(slot.nodes.begin(), seen, rec.node_id) == seen)
+    slot.nodes[slot.n_nodes++] = rec.node_id;
 }
 
 void OnlineEngine::close_buckets_through(std::int64_t t_ms) {
@@ -157,27 +161,17 @@ void OnlineEngine::close_one_bucket() {
   ++stats_.buckets;
 
   double work_ms = 0.0;
-  scratch_onset_count_ = 0;
+  scratch_onsets_.clear();
 
   for (std::uint32_t tmpl = 0; tmpl < detectors_.size(); ++tmpl) {
-    const auto it = bucket_activity_.find(tmpl);
-    const double y =
-        it == bucket_activity_.end() ? 0.0 : static_cast<double>(it->second.first);
-    const auto r = detectors_[tmpl].feed(y);
+    // Called through a reference so that elsa-lint resolves the call.
+    OnlineDetector& det = detectors_[tmpl];
+    const auto r = det.feed(static_cast<double>(slots_[tmpl].count));
     if (r.kind != OutlierKind::None && r.onset) {
       ++stats_.outlier_onsets;
-      if (scratch_onset_count_ == scratch_onsets_.size())
-        // elsa-lint: allow(realtime-allocates): amortised — the slot pool
-        // grows to the peak onsets-per-bucket once, then is reused forever.
-        scratch_onsets_.emplace_back();
-      Onset& o = scratch_onsets_[scratch_onset_count_++];
-      o.tmpl = tmpl;
-      o.nodes.clear();
-      if (it != bucket_activity_.end())
-        // elsa-lint: allow(realtime-allocates): assign into a slot whose
-        // capacity survived clear(); copies at most eight ids, no realloc
-        // after warm-up.
-        o.nodes.assign(it->second.second.begin(), it->second.second.end());
+      // elsa-lint: allow(realtime-allocates): amortised — grows to the peak
+      // onsets-per-bucket once, then is reused forever.
+      scratch_onsets_.push_back(tmpl);
       work_ms += cfg_.cost.per_outlier_ms;
       const auto trig = model_->triggers.find(tmpl);
       if (trig != model_->triggers.end())
@@ -185,9 +179,8 @@ void OnlineEngine::close_one_bucket() {
                    cfg_.cost.per_chain_trigger_ms;
     }
   }
-  bucket_activity_.clear();
 
-  if (scratch_onset_count_ > 0) {
+  if (!scratch_onsets_.empty()) {
     // The outlier batch enters the analysis queue when the bucket closes.
     const double completion =
         std::max(server_free_ms_, static_cast<double>(bucket_end)) + work_ms;
@@ -197,21 +190,26 @@ void OnlineEngine::close_one_bucket() {
     // one float per outlier-bearing bucket, an output the caller reads.
     stats_.analysis_window_ms.push_back(static_cast<float>(window));
 
-    for (std::size_t oi = 0; oi < scratch_onset_count_; ++oi) {
-      const Onset& o = scratch_onsets_[oi];
-      const auto trig = model_->triggers.find(o.tmpl);
+    for (const std::uint32_t tmpl : scratch_onsets_) {
+      const auto trig = model_->triggers.find(tmpl);
       if (trig == model_->triggers.end()) continue;
-      scratch_nodes_.clear();
-      for (const std::int32_t n : o.nodes)
-        // elsa-lint: allow(realtime-allocates): filtered copy into the
-        // reused scratch buffer; capacity survives clear().
-        if (n >= 0) scratch_nodes_.push_back(n);
+      // A dropout onset on an idle template carries no nodes.
+      const Slot& slot = slots_[tmpl];
+      // elsa-lint: allow(realtime-allocates): at most eight ids into the
+      // reused scratch buffer; capacity survives assign().
+      scratch_nodes_.assign(slot.nodes.begin(),
+                            slot.nodes.begin() + slot.n_nodes);
       const std::int32_t sample =
           static_cast<std::int32_t>((bucket_end - cfg_.dt_ms) / cfg_.dt_ms);
       for (const Trigger& tr : trig->second)
         trigger_chain(tr, sample, bucket_end,
                       static_cast<std::int64_t>(completion), scratch_nodes_);
     }
+  }
+
+  for (Slot& slot : slots_) {
+    slot.count = 0;
+    slot.n_nodes = 0;
   }
   bucket_start_ms_ = bucket_end;
 }

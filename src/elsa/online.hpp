@@ -11,8 +11,15 @@
 // per-outlier service costs (constants documented in DESIGN.md); every
 // prediction's issue time includes the queueing delay. Real wall-clock
 // execution time is measured separately by the benchmarks.
+//
+// A bucket's activity is kept in one dense slot per template, so feeding a
+// record allocates nothing. Closing a bucket feeds every detector its count;
+// an idle template's zero costs its detector a compare and an increment
+// (OnlineDetector owes the zero to its median window and pays it in one
+// run the next time the median is read, which is exact: DESIGN.md §21).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -163,10 +170,12 @@ class OnlineEngine {
     std::vector<std::int32_t> nodes;
   };
 
-  /// One outlier onset collected while closing a bucket.
-  struct Onset {
-    std::uint32_t tmpl = 0;
-    std::vector<std::int32_t> nodes;
+  /// One template's activity in the open bucket.
+  struct Slot {
+    std::uint32_t count = 0;
+    std::uint32_t n_nodes = 0;
+    /// The first eight distinct node ids seen in the bucket.
+    std::array<std::int32_t, 8> nodes{};
   };
 
   void ensure_detector(std::uint32_t tmpl);
@@ -191,28 +200,25 @@ class OnlineEngine {
   const ModelState* model_;
   EngineConfig cfg_;
 
+  // Per template id, in step: the detector and the open bucket's activity.
   std::vector<OnlineDetector> detectors_;
+  std::vector<Slot> slots_;
   std::int64_t bucket_start_ms_ = 0;
   bool started_ = false;
   /// Latest record time seen (raw matching mode's ordering reference).
   std::int64_t last_time_ms_ = 0;
-  /// Per-template activity in the open bucket.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t,
-                                              std::vector<std::int32_t>>>
-      bucket_activity_;
 
-  /// Pending partial matches per chain id.
-  std::unordered_map<std::size_t, std::vector<Pending>> pending_;
+  /// Pending partial matches, indexed by chain id.
+  std::vector<std::vector<Pending>> pending_;
 
   // Analysis-queue state.
   double server_free_ms_ = 0.0;
 
   // Reused scratch buffers: feed() runs per record and close_one_bucket()
-  // per bucket; after warm-up neither allocates. Slots in scratch_onsets_
-  // beyond scratch_onset_count_ are dead but keep their nodes capacity.
+  // per bucket; after warm-up neither allocates.
   std::vector<std::int32_t> scratch_nodes_;
-  std::vector<Onset> scratch_onsets_;
-  std::size_t scratch_onset_count_ = 0;
+  /// Template ids with an onset in the bucket being closed.
+  std::vector<std::uint32_t> scratch_onsets_;
 
   std::vector<Prediction> predictions_;
   std::vector<std::size_t> chain_fires_;

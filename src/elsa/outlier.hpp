@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "elsa/profile.hpp"
@@ -32,6 +31,12 @@ const char* to_string(OutlierKind k);
 /// per push, via a frequency table and an incrementally maintained median
 /// pointer. Bucket counts are clamped to `kMaxValue`. This is the hot path
 /// of the online phase (every signal, every 10 s bucket).
+///
+/// The window is kept as runs of equal values, one 32-bit word per run
+/// (a 12-bit value and a 20-bit count; longer runs are split), in a ring
+/// that never grows past `window` words, so it never takes more bytes than
+/// one word per sample. The frequency table grows only to the largest value
+/// seen. A silent signal's day-long window is one run and a one-word table.
 class CountingSlidingMedian {
  public:
   static constexpr std::uint32_t kMaxValue = 4095;
@@ -39,18 +44,36 @@ class CountingSlidingMedian {
   explicit CountingSlidingMedian(std::size_t window);
 
   void push(double x);
+  /// Same state as `k` calls of push(0.0), in O(runs evicted): a `k` of at
+  /// least the window replaces the whole window with zeros.
+  void push_zeros(std::size_t k);
   double median() const;
-  std::size_t size() const { return fifo_.size(); }
-  bool full() const { return fifo_.size() == window_; }
+  std::size_t size() const { return size_; }
+  bool full() const { return size_ == window_; }
+  /// Runs currently held (the window's memory, in 32-bit words).
+  std::size_t runs() const { return nruns_; }
 
  private:
+  static constexpr unsigned kCountBits = 20;
+  static constexpr std::uint32_t kMaxRun = (1u << kCountBits) - 1;
+
   std::uint32_t clamp(double x) const;
-  /// Re-derive the median from the frequency table. O(kMaxValue) but only
-  /// called to re-sync; steady-state updates walk at most a few steps.
-  void recompute();
+  /// Append `n` samples of value `v` at the newest end.
+  void append(std::uint32_t v, std::size_t n);
+  /// Drop the `n` oldest samples.
+  void evict(std::size_t n);
+  /// Move the median pointer to the smallest m with
+  /// below(m) <= (size-1)/2 < below(m) + freq[m].
+  void recentre();
 
   std::size_t window_;
-  std::deque<std::uint32_t> fifo_;
+  std::size_t size_ = 0;  ///< samples in the window
+  /// Ring of runs, oldest at head_, next free slot at tail_; capacity
+  /// grows up to window_ words.
+  std::vector<std::uint32_t> runs_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::size_t nruns_ = 0;
   std::vector<std::uint32_t> freq_;
   std::uint32_t median_val_ = 0;
   std::size_t below_ = 0;  ///< count of samples strictly below median_val_
@@ -83,20 +106,39 @@ class OnlineDetector {
     bool onset = false;
   };
 
-  Result feed(double y);
+  /// Feed one bucket's count. A zero that cannot be a spike (threshold
+  /// >= 0) does not read the median: its push is owed and paid, in one
+  /// run, before the median is next read. Without dropout tracking such a
+  /// zero costs a compare and an increment, inline.
+  Result feed(double y) {
+    if (y == 0.0 && zero_is_quiet_) {
+      in_spike_ = false;
+      ++owed_zeros_;
+      return {};
+    }
+    return feed_checked(y);
+  }
 
   const SignalProfile& profile() const { return profile_; }
 
  private:
+  /// feed() for a sample that may be an outlier.
+  Result feed_checked(double y);
+
   SignalProfile profile_;
   DetectorOptions options_;
   CountingSlidingMedian median_;
-  // Rolling sum for dropout detection.
-  std::deque<float> drop_window_;
+  // Rolling sum for dropout detection over a ring that fills to
+  // dropout_window samples; drop_head_ is the oldest once full.
+  std::vector<float> drop_window_;
+  std::size_t drop_head_ = 0;
   double drop_sum_ = 0.0;
+  /// Zeros fed but not yet pushed into `median_` (see feed()).
+  std::size_t owed_zeros_ = 0;
   bool in_spike_ = false;
   bool in_dropout_ = false;
-  std::size_t samples_seen_ = 0;
+  /// No dropout tracking and a threshold >= 0: a zero is never an outlier.
+  bool zero_is_quiet_ = false;
 };
 
 /// One anomalous episode onset, with the nodes observed in the triggering

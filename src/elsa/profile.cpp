@@ -35,8 +35,10 @@ SignalProfile build_profile(const std::vector<double>& train,
   }
 
   if (p.cls == sigkit::SignalClass::Periodic && p.period > 0) {
-    const std::size_t window = static_cast<std::size_t>(
-        cfg.dropout_periods * static_cast<double>(p.period));
+    const std::size_t window = std::min(
+        static_cast<std::size_t>(cfg.dropout_periods *
+                                 static_cast<double>(p.period)),
+        kMaxDropoutWindow);
     const double expected = p.mean * static_cast<double>(window);
     if (expected >= cfg.dropout_min_expected) {
       p.dropout_window = window;

@@ -12,6 +12,12 @@
 
 namespace elsa::core {
 
+/// Longest dropout window a profile may carry: one week of 10 s buckets.
+/// Training stays far below it (dropout_periods x the 2 h longest period);
+/// load_model rejects a model past it, so a detector's dropout ring is
+/// bounded whatever file it was loaded from.
+inline constexpr std::size_t kMaxDropoutWindow = 60'480;
+
 struct SignalProfile {
   sigkit::SignalClass cls = sigkit::SignalClass::Silent;
   double median = 0.0;       ///< training median of bucket counts
@@ -20,7 +26,8 @@ struct SignalProfile {
   /// this delta.
   double spike_delta = 0.5;
   /// Dropout detection (periodic signals only): rolling window length in
-  /// samples and the minimum expected count; 0 disables.
+  /// samples (at most kMaxDropoutWindow) and the minimum expected count;
+  /// 0 disables.
   std::size_t dropout_window = 0;
   double dropout_min_count = 0.0;
   /// Detected base period in samples (periodic signals only).

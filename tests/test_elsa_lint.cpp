@@ -418,6 +418,21 @@ TEST(ElsaLintEffects, AllocationFiresAndReasonedAllowSuppresses) {
       << fs[0].message;
 }
 
+TEST(ElsaLintEffects, MapSubscriptIsGrowth) {
+  const auto fs = effects_fixture("map_subscript.cpp");
+  // count()'s unordered_map, order()'s std::map and tally()'s local map
+  // subscripts fire; dense()'s vector subscript and find() do not, nor
+  // does first()'s vector named like tally()'s map.
+  ASSERT_EQ(count_rule(fs, "realtime-allocates"), 3u)
+      << elsa::lint::format(fs);
+  EXPECT_EQ(fs.size(), 3u) << elsa::lint::format(fs);
+  const std::string all = elsa::lint::format(fs);
+  EXPECT_NE(all.find("`by_id_[]` (map insert)"), std::string::npos) << all;
+  EXPECT_NE(all.find("`ordered_[]` (map insert)"), std::string::npos) << all;
+  EXPECT_NE(all.find("`counts[]` (map insert)"), std::string::npos) << all;
+  EXPECT_EQ(all.find("Buckets::first"), std::string::npos) << all;
+}
+
 TEST(ElsaLintEffects, LockAcquisitionFires) {
   const auto fs = effects_fixture("locks.cpp");
   // The MutexLock in hot() and the bare .lock() in hot2().

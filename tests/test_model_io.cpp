@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "elsa/model_io.hpp"
 #include "elsa/online.hpp"
@@ -133,6 +135,112 @@ TEST(ModelIo, RejectsDanglingChainReference) {
      << "chains 1\nC 2 4 0.5 0.9 1 1 0 1 1 4 0:0 9:5\n"  // signal 9 unknown
      << "end\n";
   EXPECT_THROW(core::load_model(ss), std::runtime_error);
+}
+
+// --- Hostile inputs: counts and profile fields a detector cannot run on ---
+
+struct TinyModel {
+  std::string templates = "templates 1\nT 5 2 hello world\n";
+  std::string profiles =
+      "profiles 2\nP 2 0 0 0.5 0 0 0 0\nP 1 2 1 3 6 1.5 2 2\n";
+  std::string severities = "severities 1\nS 0\n";
+  std::string chains = "chains 1\nC 2 4 0.5 0.9 1 1 0 1 1 4 0:0 0:5\n";
+
+  std::string text() const {
+    return "ELSA-MODEL 1\nmethod 0\ntrain 0 1000\n" + templates + profiles +
+           severities + chains + "end\n";
+  }
+};
+
+/// The message load_model fails with, or "" when it loads. Any exception
+/// counts, so a std::bad_alloc from an up-front allocation shows up as a
+/// message without the expected words.
+std::string load_error(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    core::load_model(is);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ModelIo, TinyModelLoads) {
+  EXPECT_EQ(load_error(TinyModel{}.text()), "");
+}
+
+TEST(ModelIo, HugeTemplateCountEndsTruncated) {
+  TinyModel m;
+  m.templates = "templates 4000000000000\nT 5 2 hello world\n";
+  EXPECT_NE(load_error(m.text()).find("truncated template section"),
+            std::string::npos);
+  m.templates = "templates 1\nT 5 4000000000000 hello world\n";
+  EXPECT_NE(load_error(m.text()).find("truncated"), std::string::npos);
+}
+
+TEST(ModelIo, HugeProfileCountEndsTruncated) {
+  TinyModel m;
+  m.profiles = "profiles 4000000000000\nP 2 0 0 0.5 0 0 0 0\n";
+  EXPECT_NE(load_error(m.text()).find("truncated profile section"),
+            std::string::npos);
+}
+
+TEST(ModelIo, HugeSeverityCountEndsTruncated) {
+  TinyModel m;
+  m.severities = "severities 4000000000000\nS 0\n";
+  EXPECT_NE(load_error(m.text()).find("truncated severity section"),
+            std::string::npos);
+}
+
+TEST(ModelIo, HugeChainAndItemCountsEndTruncated) {
+  TinyModel m;
+  m.chains = "chains 4000000000000\nC 2 4 0.5 0.9 1 1 0 1 1 4 0:0 0:5\n";
+  EXPECT_NE(load_error(m.text()).find("truncated chain section"),
+            std::string::npos);
+  m.chains = "chains 1\nC 4000000000000 4 0.5 0.9 1 1 0 1 1 4 0:0 0:5\n";
+  EXPECT_NE(load_error(m.text()).find("chain"), std::string::npos);
+}
+
+TEST(ModelIo, RejectsMalformedChainItem) {
+  TinyModel m;
+  m.chains = "chains 1\nC 2 4 0.5 0.9 1 1 0 1 1 4 0:0 x:5\n";
+  EXPECT_NE(load_error(m.text()).find("bad chain item 'x:5'"),
+            std::string::npos);
+}
+
+class BadProfileField : public ::testing::TestWithParam<
+                            std::pair<const char*, const char*>> {};
+
+TEST_P(BadProfileField, RejectedNamingTheProfileIndex) {
+  // The second profile carries the bad field; the error names index 1.
+  // "nan" and "inf" do not even parse, so they fail as a malformed row.
+  TinyModel m;
+  m.profiles = std::string("profiles 2\nP 2 0 0 0.5 0 0 0 0\n") +
+               GetParam().first + "\n";
+  const std::string err = load_error(m.text());
+  EXPECT_NE(err.find("profile 1: "), std::string::npos) << err;
+  EXPECT_NE(err.find(GetParam().second), std::string::npos) << err;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, BadProfileField,
+    ::testing::Values(
+        std::make_pair("P 1 2 1 nan 0 0 0 2", "malformed"),
+        std::make_pair("P 1 2 1 -0.5 0 0 0 2", "spike_delta"),
+        std::make_pair("P 1 2 1 inf 0 0 0 2", "malformed"),
+        std::make_pair("P 1 2 -1 3 0 0 0 2", "mad"),
+        std::make_pair("P 1 2 nan 3 0 0 0 2", "malformed"),
+        std::make_pair("P 1 2 1 3 6 nan 2 2", "malformed"),
+        std::make_pair("P 1 2 1 3 6 -1 2 2", "dropout_min_count"),
+        std::make_pair("P 1 2 1 3 60481 1.5 2 2", "dropout_window"),
+        std::make_pair("P 1 2 1 3 -1 1.5 2 2", "dropout_window"),
+        std::make_pair("P 1 nan 1 3 0 0 0 2", "malformed")));
+
+TEST(ModelIo, AcceptsDropoutWindowAtTheBound) {
+  TinyModel m;
+  m.profiles = "profiles 1\nP 1 2 1 3 " +
+               std::to_string(core::kMaxDropoutWindow) + " 1.5 2 2\n";
+  EXPECT_EQ(load_error(m.text()), "");
 }
 
 TEST(ModelIo, DigestIsStableAndSeparatesModels) {

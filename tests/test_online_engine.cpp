@@ -1,15 +1,26 @@
 // Online-engine tests on hand-built chains and record streams: trigger ->
 // prediction mechanics, lead times, sequence confirmation, deduplication,
 // location attachment, the raw-matching DM mode, and the analysis-queue
-// latency accounting.
+// latency accounting. The EngineGolden suite pins full-length replays of
+// the stock campaigns byte for byte.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <type_traits>
+
+#include "elsa/model_io.hpp"
 #include "elsa/online.hpp"
+#include "elsa/pipeline.hpp"
+#include "simlog/scenario.hpp"
 #include "topology/topology.hpp"
 
 namespace {
 
 using namespace elsa::core;
+namespace core = elsa::core;
+namespace simlog = elsa::simlog;
 namespace topo = elsa::topo;
 using elsa::simlog::LogRecord;
 
@@ -366,6 +377,185 @@ TEST(OnlineEngine, SwapModelExtendsDetectorsForNewTemplates) {
   eng.finish(400'000);
   ASSERT_EQ(eng.predictions().size(), 1u);
   EXPECT_EQ(eng.predictions()[0].tmpl, 1u);
+}
+
+TEST(OnlineEngine, NegativeThresholdFiresOnIdleBuckets) {
+  // Template 0's negative spike threshold makes every zero bucket an
+  // outlier, although template 0 never logs; template 1 fires once.
+  auto eager = silent_profile();
+  eager.spike_delta = -0.5;
+  const auto t = topo::Topology::bluegene(1, 1, 4, 8);
+  OnlineEngine eng(t, {simple_chain()}, {eager, silent_profile()},
+                   fast_config());
+  eng.feed(rec(25'000, 7), 1);
+  eng.finish(100'000);
+  // Buckets [20k,30k) .. [90k,100k): template 0's episode starts in the
+  // first one (debounced after that); template 1 fires once.
+  EXPECT_EQ(eng.stats().buckets, 8u);
+  EXPECT_EQ(eng.stats().outlier_onsets, 2u);
+  ASSERT_EQ(eng.predictions().size(), 1u);
+  EXPECT_EQ(eng.predictions()[0].trigger_time_ms, 30'000);
+  EXPECT_TRUE(eng.predictions()[0].nodes.empty());  // nothing was logged
+}
+
+TEST(OnlineEngine, DropoutFiresOnIdleBuckets) {
+  // A periodic template with dropout tracking goes silent: the silence is
+  // only visible if its detector is fed the idle buckets. The dropout
+  // onset carries no nodes (nothing was logged).
+  SignalProfile periodic;
+  periodic.cls = elsa::sigkit::SignalClass::Periodic;
+  periodic.median = 1.0;
+  periodic.mean = 1.0;
+  periodic.period = 2;
+  periodic.spike_delta = 4.0;
+  periodic.dropout_window = 6;
+  periodic.dropout_min_count = 1.5;
+  const auto t = topo::Topology::bluegene(1, 1, 4, 8);
+  OnlineEngine eng(t, {simple_chain()}, {periodic, silent_profile()},
+                   fast_config());
+  for (int b = 0; b < 20; ++b) eng.feed(rec(b * kDt, 7), 0);
+  eng.finish(40 * kDt);
+  EXPECT_EQ(eng.stats().outlier_onsets, 1u);
+  ASSERT_EQ(eng.predictions().size(), 1u);
+  // From bucket 20 on nothing is logged: the six-bucket window 19..24
+  // sums to 1 < 1.5 when bucket 24 closes.
+  EXPECT_EQ(eng.predictions()[0].trigger_time_ms, 25 * kDt);
+  EXPECT_TRUE(eng.predictions()[0].nodes.empty());
+}
+
+TEST(OnlineEngine, IdleGapsMatchEveryBucketFeeding) {
+  // A detector idle for many buckets owes their zeros to its median
+  // window and must judge its next bucket against the window that holds
+  // them: a noise signal at level 2 goes silent for longer than its
+  // window, after which a count of 2 is a spike only if the zeros count.
+  SignalProfile noise;
+  noise.cls = elsa::sigkit::SignalClass::Noise;
+  noise.median = 2.0;
+  noise.spike_delta = 1.0;
+  const auto t = topo::Topology::bluegene(1, 1, 4, 8);
+  OnlineEngine eng(t, {simple_chain()}, {noise, silent_profile()},
+                   fast_config());
+  for (int b = 0; b < 10; ++b) {
+    eng.feed(rec(b * kDt, 7), 0);
+    eng.feed(rec(b * kDt + 1, 7), 0);
+  }
+  // 100 idle buckets (window 64), then one bucket of two records.
+  eng.feed(rec(110 * kDt, 7), 0);
+  eng.feed(rec(110 * kDt + 1, 7), 0);
+  eng.finish(112 * kDt);
+  EXPECT_EQ(eng.stats().outlier_onsets, 1u);
+  ASSERT_EQ(eng.predictions().size(), 1u);
+  EXPECT_EQ(eng.predictions()[0].trigger_time_ms, 111 * kDt);
+}
+
+// --- Full-length engine goldens --------------------------------------------
+//
+// An FNV-1a digest over every Prediction field and the engine's counters
+// (records, buckets, onsets, predictions, duplicates, chains used and the
+// raw bytes of the per-bucket analysis windows) after replaying a stock
+// campaign. Any change to which buckets a detector sees, in what order the
+// onsets of one bucket are matched, or what the analysis queue charges,
+// moves the digest.
+
+template <typename T>
+void put(std::string& out, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  out.append(bytes, sizeof(T));
+}
+
+std::string engine_digest(const std::vector<Prediction>& preds,
+                          const EngineStats& s) {
+  std::string b;
+  for (const Prediction& p : preds) {
+    put(b, p.trigger_time_ms);
+    put(b, p.issue_time_ms);
+    put(b, p.predicted_time_ms);
+    put(b, p.tmpl);
+    put(b, static_cast<std::uint64_t>(p.nodes.size()));
+    for (const std::int32_t n : p.nodes) put(b, n);
+    put(b, static_cast<int>(p.scope));
+    put(b, static_cast<std::uint64_t>(p.chain_id));
+    put(b, p.confidence);
+    put(b, p.lead_ms);
+  }
+  for (const std::size_t v :
+       {s.records, s.buckets, s.out_of_order, s.outlier_onsets,
+        s.predictions_emitted, s.duplicates_suppressed, s.chains_used})
+    put(b, static_cast<std::uint64_t>(v));
+  for (const float w : s.analysis_window_ms) put(b, w);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(core::fnv1a_digest(b)));
+  return hex;
+}
+
+const simlog::Trace& mercury_2006() {
+  static const simlog::Trace tr = [] {
+    auto sc = simlog::make_mercury_scenario(2006, 12);
+    return sc.generator.generate(sc.config);
+  }();
+  return tr;
+}
+
+std::string experiment_digest(const simlog::Trace& trace, core::Method m,
+                              const core::PipelineConfig& cfg) {
+  const auto res = core::run_experiment(trace, 4.0, m, cfg);
+  return engine_digest(res.predictions, res.engine_stats);
+}
+
+TEST(EngineGolden, HybridMercuryTwelveDaysSeed2006) {
+  EXPECT_EQ(experiment_digest(mercury_2006(), core::Method::Hybrid,
+                              core::PipelineConfig{}),
+            "2d9a50dab3382801");
+}
+
+TEST(EngineGolden, HybridBlueGeneTwentyEightDaysSeed2012) {
+  auto sc = simlog::make_bluegene_scenario(2012, 28);
+  EXPECT_EQ(experiment_digest(sc.generator.generate(sc.config),
+                              core::Method::Hybrid, core::PipelineConfig{}),
+            "8807c8a6bbb5d292");
+}
+
+TEST(EngineGolden, SignalOnlyWithoutReplacementOrDebounce) {
+  core::PipelineConfig cfg;
+  cfg.signal_only_detector = {false, false};
+  EXPECT_EQ(
+      experiment_digest(mercury_2006(), core::Method::SignalOnly, cfg),
+      "080139a6bc4c3087");
+}
+
+TEST(EngineGolden, SwapModelMidStreamOntoMoreTemplates) {
+  // Predict from a rule-less model that knows only the first half of the
+  // templates, then hot-swap onto the full trained model halfway through
+  // the online phase: detectors born before the swap keep their default
+  // profiles, the ones only the new model names start at the swap.
+  const auto& trace = mercury_2006();
+  const std::int64_t train_end = trace.t_begin_ms + 4 * 86'400'000LL;
+  auto model = core::train_offline(trace, train_end, core::Method::Hybrid,
+                                   core::PipelineConfig{});
+  ASSERT_GE(model.profiles.size(), 4u);
+  const auto narrow = ModelState::build(
+      {}, {model.profiles.begin(),
+           model.profiles.begin() +
+               static_cast<std::ptrdiff_t>(model.profiles.size() / 2)});
+  const auto full = ModelState::build(model.chains, model.profiles);
+  EngineConfig ec = core::PipelineConfig{}.engine;
+  OnlineEngine eng(trace.topology, {}, narrow.profiles, ec);
+  const std::int64_t swap_at = train_end + (trace.t_end_ms - train_end) / 2;
+  bool swapped = false;
+  for (const auto& r : trace.records) {
+    if (r.time_ms < train_end) continue;
+    if (!swapped && r.time_ms >= swap_at) {
+      eng.swap_model(&full);
+      swapped = true;
+    }
+    eng.feed(r, model.helo.classify(r.message));
+  }
+  eng.finish(trace.t_end_ms);
+  ASSERT_TRUE(swapped);
+  EXPECT_EQ(engine_digest(eng.predictions(), eng.stats()), "32f34602561e7557");
 }
 
 }  // namespace

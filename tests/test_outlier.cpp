@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <vector>
 
 #include "elsa/outlier.hpp"
@@ -40,6 +42,84 @@ TEST_P(CountingMedianProperty, MatchesLowerMedianReference) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, CountingMedianProperty,
                          ::testing::Values(1, 3, 8, 63, 512));
+
+// Random interleavings of push and push_zeros(k), k up to three windows,
+// against the lower median of an explicit trailing window. Mostly zeros
+// with bursts, and values past kMaxValue, as real bucket counts look.
+class RunLengthWindowProperty
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RunLengthWindowProperty, PushZerosMatchesLowerMedianReference) {
+  const std::size_t window = GetParam();
+  Rng rng(window * 7 + 31);
+  CountingSlidingMedian fast(window);
+  std::deque<double> ref;
+  std::vector<double> scratch;
+  const int steps = window > 1000 ? 300 : 1500;
+  for (int i = 0; i < steps; ++i) {
+    if (rng.bernoulli(0.3)) {
+      const std::size_t k = 1 + rng.below(3 * window);
+      fast.push_zeros(k);
+      for (std::size_t j = 0; j < std::min(k, window); ++j) ref.push_back(0);
+    } else {
+      double x = 0.0;
+      const double u = rng.uniform();
+      if (u < 0.05) x = 1e4;  // clamps to kMaxValue
+      else if (u < 0.5) x = std::floor(rng.uniform(0.0, 30.0));
+      fast.push(x);
+      ref.push_back(std::min<double>(x, CountingSlidingMedian::kMaxValue));
+    }
+    while (ref.size() > window) ref.pop_front();
+    scratch.assign(ref.begin(), ref.end());
+    const auto mid =
+        scratch.begin() + static_cast<std::ptrdiff_t>((scratch.size() - 1) / 2);
+    std::nth_element(scratch.begin(), mid, scratch.end());
+    ASSERT_EQ(fast.size(), ref.size()) << "step " << i;
+    ASSERT_DOUBLE_EQ(fast.median(), *mid) << "step " << i;
+    ASSERT_LE(fast.runs(), std::min(window, fast.size())) << "step " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, RunLengthWindowProperty,
+                         ::testing::Values(1, 3, 8, 63, 512, 8640));
+
+TEST(CountingMedian, SilentWindowIsOneRun) {
+  CountingSlidingMedian m(8640);
+  m.push(3.0);
+  m.push_zeros(100'000);  // clamped to the window
+  EXPECT_EQ(m.size(), 8640u);
+  EXPECT_EQ(m.runs(), 1u);
+  EXPECT_DOUBLE_EQ(m.median(), 0.0);
+  m.push_zeros(0);
+  EXPECT_EQ(m.size(), 8640u);
+}
+
+TEST(CountingMedian, RunsLongerThanTheCountFieldSplit) {
+  // A window past the 20-bit run count: a zero run that long is stored as
+  // two runs, and evicting across the split stays exact.
+  const std::size_t window = (std::size_t{1} << 20) + 4;
+  CountingSlidingMedian m(window);
+  m.push(5.0);
+  m.push_zeros(window);
+  EXPECT_EQ(m.size(), window);
+  EXPECT_EQ(m.runs(), 2u);
+  EXPECT_DOUBLE_EQ(m.median(), 0.0);
+  // Sevens displace zeros one by one; the lower median turns 7 once the
+  // zeros no longer reach index (window - 1) / 2.
+  const std::size_t turn = window - (window - 1) / 2;
+  for (std::size_t i = 1; i <= turn; ++i) {
+    m.push(7.0);
+    ASSERT_DOUBLE_EQ(m.median(), i < turn ? 0.0 : 7.0) << i;
+  }
+  EXPECT_EQ(m.runs(), 3u);  // what is left of both zero runs, the sevens
+  // Three zeros in, three zeros out: the multiset and median stay.
+  m.push_zeros(3);
+  EXPECT_EQ(m.size(), window);
+  EXPECT_DOUBLE_EQ(m.median(), 7.0);
+  m.push_zeros(window);
+  EXPECT_EQ(m.runs(), 2u);
+  EXPECT_DOUBLE_EQ(m.median(), 0.0);
+}
 
 TEST(CountingMedian, ClampsLargeValues) {
   CountingSlidingMedian m(3);
@@ -174,6 +254,110 @@ TEST(OnlineDetector, DropoutRecoversWhenTrafficReturns) {
   OutlierKind last = OutlierKind::Dropout;
   for (int i = 0; i < 30; ++i) last = det.feed(i % 3 == 0 ? 3.0 : 0.0).kind;
   EXPECT_NE(last, OutlierKind::Dropout);
+}
+
+// The spike path as specified, one sample at a time: every feed reads the
+// lower median of an explicit trailing window (seeded with the profile
+// median) and pushes the raw or replaced value, clamped as the counting
+// median clamps. OnlineDetector owes the pushes of zeros that cannot be
+// spikes and pays them in runs; it must return the same Results.
+struct ReferenceDetector {
+  SignalProfile profile;
+  DetectorOptions options;
+  std::size_t window;
+  std::deque<double> w;
+  bool in_spike = false;
+
+  ReferenceDetector(const SignalProfile& p, std::size_t n, DetectorOptions o)
+      : profile(p), options(o), window(n) {
+    push(p.median);
+  }
+  void push(double x) {
+    const double kmax = CountingSlidingMedian::kMaxValue;
+    w.push_back(!(x > 0.0) ? 0.0 : x >= kmax ? kmax : std::floor(x));
+    if (w.size() > window) w.pop_front();
+  }
+  OnlineDetector::Result feed(double y) {
+    std::vector<double> s(w.begin(), w.end());
+    std::sort(s.begin(), s.end());
+    const double med = s[(s.size() - 1) / 2];
+    OnlineDetector::Result r;
+    if (y - med > profile.spike_delta) {
+      r.replacement = med;
+      r.kind = profile.cls == elsa::sigkit::SignalClass::Silent
+                   ? OutlierKind::Occurrence
+                   : OutlierKind::Spike;
+      r.onset = options.debounce ? !in_spike : true;
+      in_spike = true;
+      push(options.replacement ? med : y);
+    } else {
+      r.replacement = y;
+      in_spike = false;
+      push(y);
+    }
+    return r;
+  }
+};
+
+struct OwedZerosCase {
+  SignalProfile profile;
+  bool replacement;
+};
+
+class OwedZerosEquivalence : public ::testing::TestWithParam<OwedZerosCase> {};
+
+TEST_P(OwedZerosEquivalence, MatchesEagerReference) {
+  const auto& c = GetParam();
+  DetectorOptions opts;
+  opts.replacement = c.replacement;
+  const std::size_t window = 63;
+  Rng rng(c.replacement ? 77 : 78);
+  for (int trial = 0; trial < 20; ++trial) {
+    OnlineDetector det(c.profile, window, opts);
+    ReferenceDetector ref(c.profile, window, opts);
+    for (int step = 0; step < 600; ++step) {
+      // Zero runs up to three windows long between mostly small counts,
+      // with rare bursts, as an idle template's buckets look.
+      std::size_t zeros = 0;
+      if (rng.bernoulli(0.4)) zeros = rng.below(3 * window);
+      const double u = rng.uniform();
+      double y = std::floor(rng.uniform(0.0, 6.0));
+      if (u < 0.05) y = std::floor(rng.uniform(20.0, 200.0));
+      for (std::size_t i = 0; i <= zeros; ++i) {
+        const double x = i < zeros ? 0.0 : y;
+        const auto a = det.feed(x);
+        const auto b = ref.feed(x);
+        ASSERT_EQ(a.kind, b.kind) << "trial " << trial << " step " << step;
+        ASSERT_EQ(a.onset, b.onset) << "trial " << trial << " step " << step;
+        ASSERT_DOUBLE_EQ(a.replacement, b.replacement)
+            << "trial " << trial << " step " << step;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, OwedZerosEquivalence,
+    ::testing::Values(OwedZerosCase{silent_profile(), true},
+                      OwedZerosCase{silent_profile(), false},
+                      OwedZerosCase{noise_profile(2.0, 3.0), true},
+                      OwedZerosCase{noise_profile(2.0, 3.0), false},
+                      OwedZerosCase{noise_profile(4.0, -0.5), true}));
+
+TEST(OnlineDetector, NegativeSpikeDeltaFiresOnZeroBucket) {
+  // With a negative threshold, dist = 0 - median = 0 exceeds it: a zero
+  // bucket is an outlier, so its push cannot be owed. A NaN threshold
+  // never fires, on a zero or on anything else.
+  auto prof = silent_profile();
+  prof.spike_delta = -0.5;
+  OnlineDetector det(prof, 16);
+  const auto r = det.feed(0.0);
+  EXPECT_EQ(r.kind, OutlierKind::Occurrence);
+  EXPECT_TRUE(r.onset);
+  prof.spike_delta = std::nan("");
+  OnlineDetector nan_det(prof, 16);
+  EXPECT_EQ(nan_det.feed(0.0).kind, OutlierKind::None);
+  EXPECT_EQ(nan_det.feed(50.0).kind, OutlierKind::None);
 }
 
 TEST(OnlineDetector, KindNames) {

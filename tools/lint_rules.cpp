@@ -1492,6 +1492,11 @@ struct EffSymbols {
   /// declaring same-named fields of different container kinds never
   /// cross-contaminate (use uvar_kind() to look up).
   std::map<std::string, std::string> unordered_vars;
+  /// std::map / unordered_map vars, whose `var[key]` inserts on a miss.
+  /// Keyed "Cls::name" for class members, "file::fn()::name" for locals
+  /// and "file::name" at file scope: a subscript is too common to match a
+  /// bare name across functions.
+  std::set<std::string> map_vars;
 };
 
 /// Flavor of an unordered/pointer-keyed container var as seen from a
@@ -1506,6 +1511,15 @@ const std::string* uvar_kind(const EffSymbols& syms, const std::string& cls,
   }
   const auto it = syms.unordered_vars.find("::" + name);
   return it == syms.unordered_vars.end() ? nullptr : &it->second;
+}
+
+/// Whether `name`, subscripted in function `fn` of `file`, is a map
+/// declared as a member of fn's class, as fn's local, or at file scope.
+bool is_map_var(const EffSymbols& syms, const EffFnDef& fn,
+                const std::string& file, const std::string& name) {
+  return (!fn.cls.empty() && syms.map_vars.count(fn.cls + "::" + name)) ||
+         syms.map_vars.count(file + "::" + fn.short_id + "()::" + name) ||
+         syms.map_vars.count(file + "::" + name);
 }
 
 const std::set<std::string>& growth_methods() {
@@ -1578,9 +1592,10 @@ bool has_effect_marker(const std::string& raw_line, const std::string& mark) {
   return false;
 }
 
-/// Pass E1: class names, `using A = B<...>` aliases, and unordered /
-/// pointer-keyed container variable declarations.
-void collect_effect_decls(const std::vector<Tok>& t, EffSymbols& syms) {
+/// Pass E1: class names, `using A = B<...>` aliases, unordered /
+/// pointer-keyed container variable declarations, and map declarations.
+void collect_effect_decls(const std::string& path, const std::vector<Tok>& t,
+                          EffSymbols& syms) {
   static const std::set<std::string> kUnordered = {
       "unordered_map", "unordered_set", "unordered_multimap",
       "unordered_multiset"};
@@ -1622,7 +1637,12 @@ void collect_effect_decls(const std::vector<Tok>& t, EffSymbols& syms) {
         else if (t[j].text == "," && depth == 1) break;  // first arg only
       }
     }
-    if (!unordered && !ptr_keyed) continue;
+    // operator[] on a map default-constructs a value for a missing key.
+    const bool subscript_inserts =
+        tk.text == "unordered_map" ||
+        (tk.text == "map" && i >= 2 && !t[i - 1].ident &&
+         t[i - 1].text == "::" && t[i - 2].ident && t[i - 2].text == "std");
+    if (!unordered && !ptr_keyed && !subscript_inserts) continue;
     if (i + 1 >= t.size() || t[i + 1].ident || t[i + 1].text != "<") continue;
     int depth = 0;
     std::size_t j = i + 1;
@@ -1645,8 +1665,25 @@ void collect_effect_decls(const std::vector<Tok>& t, EffSymbols& syms) {
           cls = it->name;
           break;
         }
-      syms.unordered_vars.emplace(cls + "::" + t[j].text,
-                                  unordered ? "unordered" : "pointer-keyed");
+      if (unordered || ptr_keyed)
+        syms.unordered_vars.emplace(cls + "::" + t[j].text,
+                                    unordered ? "unordered" : "pointer-keyed");
+      if (subscript_inserts) {
+        // The innermost class or function decides: a member, a local of
+        // that function (lambdas belong to theirs), or a file-scope map.
+        std::string owner = path;
+        for (auto it = w.scopes().rbegin(); it != w.scopes().rend(); ++it) {
+          if (it->kind == Scope::kClass) {
+            owner = it->name;
+            break;
+          }
+          if (it->kind == Scope::kFunction) {
+            owner = path + "::" + it->name + "()";
+            break;
+          }
+        }
+        syms.map_vars.insert(owner + "::" + t[j].text);
+      }
     }
   }
 }
@@ -1846,6 +1883,18 @@ void collect_effect_bodies(const std::string& path, const std::vector<Tok>& t,
       }
     }
 
+    // `var[key]` on a map: inserts (allocates a node) when the key is
+    // missing. Only the function's class members, its own locals and its
+    // file's maps are known; `obj.field[key]` resolves to nothing.
+    if (i + 1 < t.size() && !t[i + 1].ident && t[i + 1].text == "[" &&
+        (i == 0 || t[i - 1].ident ||
+         (t[i - 1].text != "." &&
+          (t[i - 1].text != "->" || (i >= 2 && t[i - 2].text == "this")))) &&
+        is_map_var(syms, fns[fn_stack.back()], path, tk.text)) {
+      add_site(kEffAlloc, "`" + tk.text + "[]` (map insert)", tk.line);
+      continue;
+    }
+
     // ---- calls (direct-effect names become sites, the rest edges) ----
     if (i + 1 >= t.size() || t[i + 1].ident || t[i + 1].text != "(") continue;
     if (is_control_kw(tk.text) || is_annotation_macro(tk.text)) continue;
@@ -1991,10 +2040,7 @@ EffScan scan_effects(
     toks.emplace_back(path, tokenize(strip_code(contents)));
     scan.raw_by_file[path] = split_lines(contents);
   }
-  for (const auto& [path, t] : toks) {
-    (void)path;
-    collect_effect_decls(t, scan.syms);
-  }
+  for (const auto& [path, t] : toks) collect_effect_decls(path, t, scan.syms);
   for (const auto& [path, t] : toks) {
     (void)path;
     collect_effect_vars(t, scan.syms);

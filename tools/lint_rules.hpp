@@ -62,8 +62,9 @@
 // two annotation contracts placed on function definitions:
 //   // elsa-realtime      — the transitive closure must be allocation-,
 //                           lock-, block- and I/O-free:
-//     realtime-allocates  — new/make_unique/make_shared or a container
-//                           growth call (push_back, insert, resize, …)
+//     realtime-allocates  — new/make_unique/make_shared, a container
+//                           growth call (push_back, insert, resize, …) or
+//                           `map[key]` on a std::map / unordered_map
 //                           reachable from an elsa-realtime function.
 //     realtime-locks      — a MutexLock / .lock() acquisition reachable
 //                           from an elsa-realtime function.
